@@ -53,10 +53,23 @@ json::Value Meta(int pid, int tid, const char* what, const std::string& name) {
   return o;
 }
 
-json::Object Base(const char* ph, int pid, int tid, Cycles ts) {
+// One Chrome event. Members are added in key order (args, name, ph, pid, s,
+// tid, ts), so each lands at the end of the flat object; `scope` is the
+// instant-event "s" member and empty `args` are left out.
+json::Object Chrome(const char* ph, int pid, int tid, Cycles ts,
+                    std::string name, const char* scope = nullptr,
+                    json::Object args = {}) {
   json::Object o;
+  o.reserve(8);  // the most members any Chrome event here carries
+  if (!args.empty()) {
+    o["args"] = std::move(args);
+  }
+  o["name"] = std::move(name);
   o["ph"] = ph;
   o["pid"] = pid;
+  if (scope != nullptr) {
+    o["s"] = scope;
+  }
   o["tid"] = tid;
   o["ts"] = static_cast<uint64_t>(ts);
   return o;
@@ -67,130 +80,84 @@ void AppendChromeEvents(TraceRecorder& r, const Event& e,
                         std::vector<json::Value>* out) {
   const int pid = PidFor(r);
   switch (e.type) {
-    case EventType::kBootDone: {
-      json::Object o = Base("i", pid, 0, e.at);
-      o["name"] = "boot_done";
-      o["s"] = "p";
-      out->push_back(std::move(o));
+    case EventType::kBootDone:
+      out->push_back(Chrome("i", pid, 0, e.at, "boot_done", "p"));
       break;
-    }
-    case EventType::kCompartmentCall: {
-      json::Object o = Base("B", pid, e.thread, e.at);
-      o["name"] = r.CompartmentName(e.b) + "." +
-                  r.ExportName(e.b, static_cast<int>(e.c));
-      o["args"] = json::Object{{"caller", r.CompartmentName(e.a)},
-                               {"depth", e.d}};
-      out->push_back(std::move(o));
+    case EventType::kCompartmentCall:
+      out->push_back(Chrome(
+          "B", pid, e.thread, e.at,
+          r.CompartmentName(e.b) + "." +
+              r.ExportName(e.b, static_cast<int>(e.c)),
+          nullptr,
+          {{"caller", r.CompartmentName(e.a)}, {"depth", e.d}}));
       break;
-    }
-    case EventType::kCompartmentReturn: {
-      json::Object o = Base("E", pid, e.thread, e.at);
-      o["name"] = r.CompartmentName(e.a);
-      out->push_back(std::move(o));
+    case EventType::kCompartmentReturn:
+      out->push_back(
+          Chrome("E", pid, e.thread, e.at, r.CompartmentName(e.a)));
       break;
-    }
-    case EventType::kLibraryCall: {
-      json::Object o = Base("i", pid, e.thread, e.at);
-      o["name"] = "lib:" + r.LibraryName(e.a);
-      o["s"] = "t";
-      o["args"] = json::Object{{"export", e.b}};
-      out->push_back(std::move(o));
+    case EventType::kLibraryCall:
+      out->push_back(Chrome("i", pid, e.thread, e.at,
+                            "lib:" + r.LibraryName(e.a), "t",
+                            {{"export", e.b}}));
       break;
-    }
-    case EventType::kTrap: {
-      json::Object o = Base("i", pid, e.thread, e.at);
-      o["name"] = "trap:" + std::to_string(e.a);
-      o["s"] = "t";
-      o["args"] = json::Object{{"compartment", r.CompartmentName(e.b)}};
-      out->push_back(std::move(o));
+    case EventType::kTrap:
+      out->push_back(Chrome("i", pid, e.thread, e.at,
+                            "trap:" + std::to_string(e.a), "t",
+                            {{"compartment", r.CompartmentName(e.b)}}));
       break;
-    }
-    case EventType::kContextSwitch: {
-      json::Object o = Base("i", pid, e.b >= 0 ? e.b : e.a, e.at);
-      o["name"] = "switch:" + r.ThreadName(e.a) + ">" + r.ThreadName(e.b);
-      o["s"] = "t";
-      out->push_back(std::move(o));
+    case EventType::kContextSwitch:
+      out->push_back(Chrome(
+          "i", pid, e.b >= 0 ? e.b : e.a, e.at,
+          "switch:" + r.ThreadName(e.a) + ">" + r.ThreadName(e.b), "t"));
       break;
-    }
-    case EventType::kThreadWake: {
-      json::Object o = Base("i", pid, e.a, e.at);
-      o["name"] = "wake";
-      o["s"] = "t";
-      out->push_back(std::move(o));
+    case EventType::kThreadWake:
+      out->push_back(Chrome("i", pid, e.a, e.at, "wake", "t"));
       break;
-    }
-    case EventType::kThreadBlock: {
-      json::Object o = Base("i", pid, e.a, e.at);
-      o["name"] = "block";
-      o["s"] = "t";
-      o["args"] = json::Object{{"futex", e.d}};
-      out->push_back(std::move(o));
+    case EventType::kThreadBlock:
+      out->push_back(
+          Chrome("i", pid, e.a, e.at, "block", "t", {{"futex", e.d}}));
       break;
-    }
-    case EventType::kThreadSleep: {
-      json::Object o = Base("i", pid, e.a, e.at);
-      o["name"] = "sleep";
-      o["s"] = "t";
-      o["args"] = json::Object{{"wake_at", e.d}};
-      out->push_back(std::move(o));
+    case EventType::kThreadSleep:
+      out->push_back(
+          Chrome("i", pid, e.a, e.at, "sleep", "t", {{"wake_at", e.d}}));
       break;
-    }
     case EventType::kHeapAlloc:
-    case EventType::kHeapFree: {
-      json::Object o = Base("C", pid, 0, e.at);
-      o["name"] = "heap_live_bytes";
-      o["args"] = json::Object{{"bytes", e.d}};
-      out->push_back(std::move(o));
+    case EventType::kHeapFree:
+      out->push_back(Chrome("C", pid, 0, e.at, "heap_live_bytes", nullptr,
+                            {{"bytes", e.d}}));
       break;
-    }
-    case EventType::kQuotaExhausted: {
-      json::Object o = Base("i", pid, e.thread, e.at);
-      o["name"] = "quota_exhausted";
-      o["s"] = "t";
-      o["args"] = json::Object{{"compartment", r.CompartmentName(e.a)},
-                               {"quota", e.b},
-                               {"requested", e.c}};
-      out->push_back(std::move(o));
+    case EventType::kQuotaExhausted:
+      out->push_back(Chrome("i", pid, e.thread, e.at, "quota_exhausted", "t",
+                            {{"compartment", r.CompartmentName(e.a)},
+                             {"quota", e.b},
+                             {"requested", e.c}}));
       break;
-    }
-    case EventType::kSweepBegin: {
-      json::Object o = Base("B", pid, kTidRevoker, e.at);
-      o["name"] = "sweep";
-      o["args"] = json::Object{{"epoch", e.d}};
-      out->push_back(std::move(o));
+    case EventType::kSweepBegin:
+      out->push_back(Chrome("B", pid, kTidRevoker, e.at, "sweep", nullptr,
+                            {{"epoch", e.d}}));
       break;
-    }
-    case EventType::kSweepEnd: {
-      json::Object end = Base("E", pid, kTidRevoker, e.at);
-      end["name"] = "sweep";
-      out->push_back(std::move(end));
-      json::Object o = Base("i", pid, kTidRevoker, e.at);
-      o["name"] = "revocation_epoch:" + std::to_string(e.d);
-      o["s"] = "t";
-      o["args"] = json::Object{{"granules", e.c}};
-      out->push_back(std::move(o));
+    case EventType::kSweepEnd:
+      out->push_back(Chrome("E", pid, kTidRevoker, e.at, "sweep"));
+      out->push_back(Chrome("i", pid, kTidRevoker, e.at,
+                            "revocation_epoch:" + std::to_string(e.d), "t",
+                            {{"granules", e.c}}));
       break;
-    }
     case EventType::kNicTx:
     case EventType::kNicRx: {
       const bool tx = e.type == EventType::kNicTx;
       const bool has_flow = e.a != kNoFlowOrigin;
-      json::Object o = Base("i", pid, kTidNic, e.at);
-      o["name"] = tx ? "nic_tx" : "nic_rx";
-      o["s"] = "t";
       json::Object args{{"bytes", e.c}};
       if (has_flow) {
         args["flow"] = FlowLabel(e.a, static_cast<uint32_t>(e.d));
       }
-      o["args"] = std::move(args);
-      out->push_back(std::move(o));
+      out->push_back(Chrome("i", pid, kTidNic, e.at, tx ? "nic_tx" : "nic_rx",
+                            "t", std::move(args)));
       if (has_flow) {
         // Perfetto flow arrow binding this tx to the matching rx on another
         // board's track: an "s" (start) at the transmit and an "f" with
         // bp:"e" (bind to enclosing slice end) at each receive, all sharing
         // the flow key as id.
-        json::Object arrow = Base(tx ? "s" : "f", pid, kTidNic, e.at);
-        arrow["name"] = "flow";
+        json::Object arrow = Chrome(tx ? "s" : "f", pid, kTidNic, e.at, "flow");
         arrow["cat"] = "flow";
         arrow["id"] = FlowKey(e.a, static_cast<uint32_t>(e.d));
         if (!tx) {
@@ -201,53 +168,44 @@ void AppendChromeEvents(TraceRecorder& r, const Event& e,
       break;
     }
     case EventType::kFabricFrame: {
-      json::Object o = Base("i", pid, kTidFabric, e.at);
-      o["name"] = "fabric_frame";
-      o["s"] = "t";
       json::Object args{{"src_port", e.a}, {"dst_port", e.b}, {"bytes", e.c}};
       const auto origin = static_cast<int32_t>(
           static_cast<int16_t>(static_cast<uint16_t>(e.d >> 32)));
       if (origin != kNoFlowOrigin) {
         args["flow"] = FlowLabel(origin, static_cast<uint32_t>(e.d));
       }
-      o["args"] = std::move(args);
-      out->push_back(std::move(o));
+      out->push_back(Chrome("i", pid, kTidFabric, e.at, "fabric_frame", "t",
+                            std::move(args)));
       break;
     }
     case EventType::kFrameDrop: {
-      json::Object o = Base("i", pid, r.board_index() >= 0 ? kTidNic
-                                                           : kTidFabric,
-                            e.at);
-      o["name"] = "frame_drop";
-      o["s"] = "t";
       json::Object args{{"bytes", e.c},
                         {"reason", e.b == 0 ? "nic_loss" : "gateway_tcp"}};
       if (e.a != kNoFlowOrigin) {
         args["flow"] = FlowLabel(e.a, static_cast<uint32_t>(e.d));
       }
-      o["args"] = std::move(args);
-      out->push_back(std::move(o));
+      out->push_back(Chrome("i", pid,
+                            r.board_index() >= 0 ? kTidNic : kTidFabric, e.at,
+                            "frame_drop", "t", std::move(args)));
       break;
     }
-    case EventType::kCrashRecord: {
-      json::Object o = Base("i", pid, e.thread, e.at);
-      o["name"] =
-          std::string("crash:") + TrapCodeName(static_cast<TrapCode>(e.a));
-      o["s"] = "t";
-      o["args"] = json::Object{{"compartment", r.CompartmentName(e.b)},
-                               {"fault_address", e.c},
-                               {"record_seq", e.d}};
-      out->push_back(std::move(o));
+    case EventType::kCrashRecord:
+      out->push_back(Chrome(
+          "i", pid, e.thread, e.at,
+          std::string("crash:") + TrapCodeName(static_cast<TrapCode>(e.a)),
+          "t",
+          {{"compartment", r.CompartmentName(e.b)},
+           {"fault_address", e.c},
+           {"record_seq", e.d}}));
       break;
-    }
     case EventType::kIdleFastForward: {
       // Rendered as a completed span ending at the jump target, so the
       // skipped stretch shows up as one solid "idle (ff)" block instead of
       // empty space.
-      json::Object o = Base("X", pid, 0, e.at - static_cast<Cycles>(e.c));
-      o["name"] = "idle_fast_forward";
+      json::Object o = Chrome("X", pid, 0, e.at - static_cast<Cycles>(e.c),
+                              "idle_fast_forward", nullptr,
+                              {{"span_cycles", e.c}});
       o["dur"] = static_cast<uint64_t>(e.c);
-      o["args"] = json::Object{{"span_cycles", e.c}};
       out->push_back(std::move(o));
       break;
     }
@@ -270,41 +228,65 @@ void AppendMetadata(TraceRecorder& r, std::vector<json::Value>* out) {
   }
 }
 
+// Chrome events AppendChromeEvents emits for `e`. Only sizes the final
+// array's reservation; a miscount costs a reallocation, not output bytes.
+size_t ChromeEventCount(const Event& e) {
+  switch (e.type) {
+    case EventType::kSweepEnd:
+      return 2;
+    case EventType::kNicTx:
+    case EventType::kNicRx:
+      return e.a != kNoFlowOrigin ? 2 : 1;
+    default:
+      return 1;
+  }
+}
+
 }  // namespace
 
 json::Value MergedChromeTrace(const std::vector<TraceRecorder*>& recorders) {
-  std::vector<json::Value> events;
-  for (TraceRecorder* r : recorders) {
-    AppendMetadata(*r, &events);
-  }
   // Interleave by guest cycle. The per-recorder order is already
   // deterministic, and std::stable_sort keeps the recorder order for ties,
   // so the merged stream is byte-identical for any host worker count.
+  // Sorting the source events is enough: the Chrome events one event
+  // expands to share its cycle and stay adjacent, so each is built once,
+  // straight into the final array.
   struct Stamped {
     Cycles at;
-    json::Value event;
+    TraceRecorder* recorder;
+    const Event* event;
   };
-  std::vector<Stamped> timeline;
+  std::vector<std::vector<Event>> recorded;
+  recorded.reserve(recorders.size());
+  size_t count = 0;
   for (TraceRecorder* r : recorders) {
-    for (const Event& e : r->Events()) {
-      std::vector<json::Value> chrome;
-      AppendChromeEvents(*r, e, &chrome);
-      for (auto& c : chrome) {
-        timeline.push_back({e.at, std::move(c)});
-      }
+    recorded.push_back(r->Events());
+    count += recorded.back().size();
+  }
+  std::vector<Stamped> timeline;
+  timeline.reserve(count);
+  size_t chrome_count = 0;
+  for (size_t i = 0; i < recorders.size(); ++i) {
+    for (const Event& e : recorded[i]) {
+      timeline.push_back({e.at, recorders[i], &e});
+      chrome_count += ChromeEventCount(e);
     }
   }
   std::stable_sort(timeline.begin(), timeline.end(),
                    [](const Stamped& a, const Stamped& b) {
                      return a.at < b.at;
                    });
-  for (auto& s : timeline) {
-    events.push_back(std::move(s.event));
+  json::Array events;
+  for (TraceRecorder* r : recorders) {
+    AppendMetadata(*r, &events);
+  }
+  events.reserve(events.size() + chrome_count);
+  for (const Stamped& s : timeline) {
+    AppendChromeEvents(*s.recorder, *s.event, &events);
   }
   json::Object doc;
   doc["displayTimeUnit"] = "ns";
-  doc["traceEvents"] = json::Array(std::make_move_iterator(events.begin()),
-                                   std::make_move_iterator(events.end()));
+  doc["traceEvents"] = std::move(events);
   return doc;
 }
 

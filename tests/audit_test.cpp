@@ -333,6 +333,18 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW(json::Parse("[1,]2"), std::runtime_error);
   EXPECT_THROW(json::Parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(json::Parse("{\"a\" 1}"), std::runtime_error);
+  // Bad numbers and escapes: the same exception type, with the offset of
+  // the bad token.
+  for (const char* bad : {"-", "1e999", "99999999999999999999",
+                          "\"\\u12G4\""}) {
+    try {
+      json::Parse(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("at offset"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST(Json, DeterministicKeyOrder) {
