@@ -4,12 +4,9 @@
 
 #include "src/base/costs.h"
 #include "src/base/log.h"
-#include "src/cov/coverage.h"
-#include "src/health/forensics.h"
 #include "src/kernel/system.h"
 #include "src/runtime/compartment_ctx.h"
 #include "src/snap/wire.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
 
@@ -121,25 +118,14 @@ Capability Allocator::AllocateInternal(CompartmentCtx& ctx,
   const Word used = QuotaUsed(unsealed_q);
   if (used + need > limit) {
     ++quota_denials_;
-    if (auto* tr = m.trace()) {
-      // RawLoadWord, not QuotaId(): the trace path must not add costed
-      // accesses or the cycle model would move when tracing is on.
-      tr->OnQuotaExhausted(system_->current_thread_id(), ctx.compartment(),
-                           m.memory().RawLoadWord(unsealed_q.base() + 12),
-                           need);
-    }
-    if (auto* hr = m.forensics()) {
-      // Unlike the trace hook above, forensics attributes the denial to the
-      // compartment that *asked* for memory, not the alloc service the
-      // heap_allocate export runs in — that is what the quota-exhaustion
-      // detector keys on.
-      hr->OnQuotaExhausted(system_->current_thread_id(),
-                           AttributedCompartment(),
-                           m.memory().RawLoadWord(unsealed_q.base() + 12),
-                           need);
-    }
-    if (auto* cr = m.cov()) {
-      cr->OnQuotaDenied(m.memory().RawLoadWord(unsealed_q.base() + 12), need);
+    for (Observer* o : m.observers()) {
+      // RawLoadWord, not QuotaId(): an observer path must not add costed
+      // accesses or the cycle model would move when one is attached. Both
+      // the executing compartment (the alloc service) and the one that
+      // asked for memory are passed; each recorder keys on its own.
+      o->OnQuotaDenied(system_->current_thread_id(), ctx.compartment(),
+                       AttributedCompartment(),
+                       m.memory().RawLoadWord(unsealed_q.base() + 12), need);
     }
     return StatusCap(Status::kNoMemory);
   }
@@ -203,12 +189,9 @@ Capability Allocator::AllocateInternal(CompartmentCtx& ctx,
       sites_[chunk] = site;
       live_native_ += h.size;
       SetQuotaUsed(unsealed_q, QuotaUsed(unsealed_q) + h.size);
-      if (auto* tr = m.trace()) {
-        tr->OnHeapAlloc(system_->current_thread_id(), ctx.compartment(),
-                        h.quota, h.size);
-      }
-      if (auto* cr = m.cov()) {
-        cr->OnHeapAlloc(h.quota, h.size);
+      for (Observer* o : m.observers()) {
+        o->OnHeapAlloc(system_->current_thread_id(), ctx.compartment(),
+                       h.quota, h.size);
       }
       // Freed memory was zeroed in free(); exclusive allocator access
       // guarantees the zeros persisted (§3.1.3 "Zeroing").
@@ -272,11 +255,8 @@ void Allocator::ReleaseChunk(Address chunk, const Header& header) {
     site_it->second.freed_by = AttributedCompartment();
     site_it->second.freed_at = system_->Now();
   }
-  if (auto* tr = m.trace()) {
-    tr->OnHeapFree(thread, comp, header.quota, header.size);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnHeapFree(header.quota, header.size);
+  for (Observer* o : m.observers()) {
+    o->OnHeapFree(thread, comp, header.quota, header.size);
   }
   system_->machine().revoker().StartSweep();
 }
@@ -570,8 +550,8 @@ Capability Allocator::TokenObjNew(CompartmentCtx& ctx,
   Memory& mem = system_->machine().memory();
   mem.StoreWord(heap_root_, raw.base(), key.cursor());  // virtual type header
   mem.StoreWord(heap_root_, raw.base() + 4, size);
-  if (auto* cr = system_->machine().cov()) {
-    cr->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/false);
+  for (Observer* o : system_->machine().observers()) {
+    o->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/false);
   }
   return system_->token().SealWithHardwareType(raw);
 }
@@ -592,8 +572,8 @@ Status Allocator::TokenObjDestroy(CompartmentCtx& ctx,
   if (vtype != key.cursor()) {
     return Status::kPermissionDenied;
   }
-  if (auto* cr = system_->machine().cov()) {
-    cr->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/true);
+  for (Observer* o : system_->machine().observers()) {
+    o->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/true);
   }
   // The sealed allocation requires both the matching allocation capability
   // and the sealing key to deallocate (§3.2.3).

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/hw/machine.h"
-#include "src/mem/memory.h"
+#include "src/kernel/guest_thread.h"
 #include "src/snap/wire.h"
 
 namespace cheriot::cov {
@@ -24,10 +24,6 @@ std::string BitmapHex(const std::vector<uint64_t>& words) {
   return out;
 }
 
-void MmioTrampoline(void* ctx, Address addr, Address size, bool is_store) {
-  static_cast<CovRecorder*>(ctx)->OnMmioAccess(addr, size, is_store);
-}
-
 }  // namespace
 
 size_t MmioGrantCov::granules_touched() const {
@@ -40,68 +36,32 @@ size_t MmioGrantCov::granules_touched() const {
 
 CovRecorder::CovRecorder(CovOptions options) : options_(options) {}
 
-void CovRecorder::SetCompartmentNames(std::vector<std::string> names) {
-  compartment_names_ = std::move(names);
-}
-void CovRecorder::SetExportNames(std::vector<std::vector<std::string>> names) {
-  export_names_ = std::move(names);
-}
-void CovRecorder::SetLibraryNames(std::vector<std::string> names) {
-  library_names_ = std::move(names);
-}
-void CovRecorder::SetLibraryExportNames(
-    std::vector<std::vector<std::string>> names) {
-  library_export_names_ = std::move(names);
-}
-void CovRecorder::SetThreadNames(std::vector<std::string> names) {
-  thread_names_ = std::move(names);
-}
+void CovRecorder::OnAttach(Machine& machine) { clock_ = &machine.clock(); }
 
-void CovRecorder::AddMmioGrant(int compartment, std::string device,
-                               Address base, Address size, bool writeable) {
-  MmioGrantCov g;
-  g.compartment = compartment;
-  g.device = std::move(device);
-  g.base = base;
-  g.size = size;
-  g.writeable = writeable;
-  if (options_.mmio_granules) {
-    g.touched.assign((g.granules_total() + 63) / 64, 0);
+void CovRecorder::OnBoot(const BootTables& tables) {
+  compartment_names_ = tables.compartments;
+  export_names_ = tables.exports;
+  library_names_ = tables.libraries;
+  library_export_names_ = tables.library_exports;
+  threads_ = tables.guest_threads;
+  for (const BootTables::MmioGrant& grant : tables.mmio_grants) {
+    MmioGrantCov& g = mmio_.emplace_back(MmioGrantCov{grant});
+    if (options_.mmio_granules) {
+      g.touched.assign((g.granules_total() + 63) / 64, 0);
+    }
   }
-  mmio_.push_back(std::move(g));
+  for (const BootTables::QuotaGrant& grant : tables.quota_grants) {
+    quotas_.push_back(QuotaGrantCov{grant});
+  }
+  for (const BootTables::SealingGrant& grant : tables.sealing_grants) {
+    sealing_.push_back(SealingGrantCov{grant});
+  }
 }
 
-void CovRecorder::AddQuotaGrant(uint32_t quota_id, int compartment,
-                                std::string name, Word limit) {
-  QuotaGrantCov g;
-  g.quota_id = quota_id;
-  g.compartment = compartment;
-  g.name = std::move(name);
-  g.limit = limit;
-  quotas_.push_back(std::move(g));
-}
-
-void CovRecorder::AddSealingGrant(int compartment, std::string type_name,
-                                  uint32_t type_id) {
-  SealingGrantCov g;
-  g.compartment = compartment;
-  g.type_name = std::move(type_name);
-  g.type_id = type_id;
-  sealing_.push_back(std::move(g));
-}
-
-void CovRecorder::OnContextSwitch(int to_thread) {
-  current_thread_ = to_thread;
-}
+void CovRecorder::OnContextSwitch(int from, int to) { current_thread_ = to; }
 
 void CovRecorder::OnCompartmentCall(int thread, int caller, int callee,
                                     int export_index, uint32_t depth) {
-  if (thread >= 0) {
-    if (static_cast<size_t>(thread) >= thread_stacks_.size()) {
-      thread_stacks_.resize(static_cast<size_t>(thread) + 1);
-    }
-    thread_stacks_[static_cast<size_t>(thread)].push_back(callee);
-  }
   const Cycles at = now();
   EdgeStats& e = calls_[{caller, callee, export_index}];
   if (e.count == 0) {
@@ -115,19 +75,8 @@ void CovRecorder::OnCompartmentCall(int thread, int caller, int callee,
   ++calls_recorded_;
 }
 
-void CovRecorder::OnCompartmentReturn(int thread) {
-  if (thread < 0 || static_cast<size_t>(thread) >= thread_stacks_.size()) {
-    return;
-  }
-  auto& stack = thread_stacks_[static_cast<size_t>(thread)];
-  if (!stack.empty()) {
-    stack.pop_back();
-  }
-}
-
 void CovRecorder::OnLibraryCall(int thread, int caller, int library,
                                 int export_index) {
-  (void)thread;
   const Cycles at = now();
   EdgeStats& e = libs_[{caller, library, export_index}];
   if (e.count == 0) {
@@ -142,11 +91,9 @@ int CovRecorder::CurrentCompartment() const {
     return current_thread_ == kCompartmentIdle ? kCompartmentIdle
                                                : kCompartmentBoot;
   }
-  const size_t t = static_cast<size_t>(current_thread_);
-  if (t < thread_stacks_.size() && !thread_stacks_[t].empty()) {
-    return thread_stacks_[t].back();
-  }
-  return kCompartmentKernel;
+  const std::vector<int>& stack =
+      (*threads_)[static_cast<size_t>(current_thread_)].compartment_stack;
+  return stack.empty() ? kCompartmentKernel : stack.back();
 }
 
 void CovRecorder::OnMmioAccess(Address addr, Address size, bool is_store) {
@@ -195,7 +142,8 @@ void CovRecorder::OnSealingUse(int compartment, uint32_t type_id,
   }
 }
 
-void CovRecorder::OnHeapAlloc(uint32_t quota, Word bytes) {
+void CovRecorder::OnHeapAlloc(int thread, int compartment, uint32_t quota,
+                              Word bytes) {
   for (QuotaGrantCov& g : quotas_) {
     if (g.quota_id != quota) {
       continue;
@@ -207,7 +155,8 @@ void CovRecorder::OnHeapAlloc(uint32_t quota, Word bytes) {
   }
 }
 
-void CovRecorder::OnHeapFree(uint32_t quota, Word bytes) {
+void CovRecorder::OnHeapFree(int thread, int compartment, uint32_t quota,
+                             Word bytes) {
   for (QuotaGrantCov& g : quotas_) {
     if (g.quota_id != quota) {
       continue;
@@ -218,8 +167,8 @@ void CovRecorder::OnHeapFree(uint32_t quota, Word bytes) {
   }
 }
 
-void CovRecorder::OnQuotaDenied(uint32_t quota, Word bytes) {
-  (void)bytes;
+void CovRecorder::OnQuotaDenied(int thread, int compartment, int attributed,
+                                uint32_t quota, Word bytes) {
   for (QuotaGrantCov& g : quotas_) {
     if (g.quota_id == quota) {
       ++g.denials;
@@ -447,23 +396,6 @@ void CovRecorder::SerializeState(snap::Writer& w) const {
     w.U32(g.peak_live_bytes);
   }
   w.I32(current_thread_);
-  w.U32(static_cast<uint32_t>(thread_stacks_.size()));
-  for (const auto& stack : thread_stacks_) {
-    w.U32(static_cast<uint32_t>(stack.size()));
-    for (int c : stack) {
-      w.I32(c);
-    }
-  }
-}
-
-void Attach(Machine& machine, CovRecorder* recorder) {
-  if (recorder != nullptr) {
-    recorder->SetClock(&machine.clock());
-    machine.memory().SetMmioObserver(&MmioTrampoline, recorder);
-  } else {
-    machine.memory().SetMmioObserver(nullptr, nullptr);
-  }
-  machine.set_cov(recorder);
 }
 
 }  // namespace cheriot::cov

@@ -19,11 +19,11 @@
 // tests/cov_test.cpp): the recorder only OBSERVES. It never ticks the clock,
 // never touches simulated memory through costed paths (boot-time grant
 // tables come from native loader state and RawLoadWord), and never consults
-// host state, so enabling coverage cannot move a single guest cycle. Every
-// capture site in the switcher/kernel/allocator/token service is a
-// raw-pointer null check through Machine::cov(); the MMIO capture site is a
-// dedicated raw-pointer observer on Memory's slow (device-window) path, so
-// the SRAM fast path is untouched.
+// host state, so enabling coverage cannot move a single guest cycle. The
+// recorder is an Observer (src/hw/observer.h): every capture site in the
+// switcher/kernel/allocator/token service is the machine's observer loop,
+// and MMIO touches arrive from Memory's slow (device-window) path, so the
+// SRAM fast path is untouched.
 #ifndef SRC_COV_COVERAGE_H_
 #define SRC_COV_COVERAGE_H_
 
@@ -35,11 +35,8 @@
 
 #include "src/base/clock.h"
 #include "src/base/types.h"
+#include "src/hw/observer.h"
 #include "src/json/json.h"
-
-namespace cheriot {
-class Machine;
-}  // namespace cheriot
 
 namespace cheriot::snap {
 class Writer;
@@ -72,17 +69,12 @@ struct EdgeStats {
 };
 
 // One static MMIO grant (import-table slot) with its dynamic touch record.
-struct MmioGrantCov {
-  int compartment = -1;
-  std::string device;
-  Address base = 0;
-  Address size = 0;
-  bool writeable = false;
+struct MmioGrantCov : BootTables::MmioGrant {
   uint64_t reads = 0;
   uint64_t writes = 0;
   Cycles first_cycle = 0;
   Cycles last_cycle = 0;
-  std::vector<uint64_t> touched;  // granule bitmap, (size+7)/8 bits
+  std::vector<uint64_t> touched{};  // granule bitmap, (size+7)/8 bits
 
   size_t granules_total() const {
     return static_cast<size_t>((size + kGranuleBytes - 1) / kGranuleBytes);
@@ -91,20 +83,13 @@ struct MmioGrantCov {
 };
 
 // One static sealing-key grant with its dynamic exercise counts.
-struct SealingGrantCov {
-  int compartment = -1;
-  std::string type_name;
-  uint32_t type_id = 0;
+struct SealingGrantCov : BootTables::SealingGrant {
   uint64_t seals = 0;
   uint64_t unseals = 0;
 };
 
 // One static allocation-capability grant with its dynamic quota use.
-struct QuotaGrantCov {
-  uint32_t quota_id = 0;
-  int compartment = -1;
-  std::string name;
-  Word limit = 0;
+struct QuotaGrantCov : BootTables::QuotaGrant {
   uint64_t allocations = 0;
   uint64_t frees = 0;
   uint64_t denials = 0;
@@ -112,47 +97,36 @@ struct QuotaGrantCov {
   Word peak_live_bytes = 0;
 };
 
-class CovRecorder {
+class CovRecorder : public Observer {
  public:
   explicit CovRecorder(CovOptions options = {});
 
   CovRecorder(const CovRecorder&) = delete;
   CovRecorder& operator=(const CovRecorder&) = delete;
 
-  // --- Wiring (Attach() / System::Boot) ------------------------------------
-  void SetClock(const CycleClock* clock) { clock_ = clock; }
   void SetLabel(std::string label) { label_ = std::move(label); }
   void SetBoardIndex(int index) { board_index_ = index; }
-  void SetCompartmentNames(std::vector<std::string> names);
-  void SetExportNames(std::vector<std::vector<std::string>> names);
-  void SetLibraryNames(std::vector<std::string> names);
-  void SetLibraryExportNames(std::vector<std::vector<std::string>> names);
-  void SetThreadNames(std::vector<std::string> names);
-  // Static grant tables, published by System::Boot from loader state (native
-  // reads and RawLoadWord only — no guest cycles). Declaration order is the
-  // import-table order, so exports and snapshots are byte-stable.
-  void AddMmioGrant(int compartment, std::string device, Address base,
-                    Address size, bool writeable);
-  void AddQuotaGrant(uint32_t quota_id, int compartment, std::string name,
-                     Word limit);
-  void AddSealingGrant(int compartment, std::string type_name,
-                       uint32_t type_id);
 
-  // --- Choke-point hooks ---------------------------------------------------
-  // Same sites as the trace recorder's; the recorder mirrors the compartment
-  // call stack natively (reading the trusted stack would tick the clock).
-  void OnContextSwitch(int to_thread);
+  // --- Observer hooks -------------------------------------------------------
+  void OnAttach(Machine& machine) override;
+  // Takes the name tables, the static grant tables (declaration order is
+  // the import-table order, so exports and snapshots are byte-stable) and
+  // the guest threads whose compartment_stack attributes MMIO touches.
+  void OnBoot(const BootTables& tables) override;
+  void OnContextSwitch(int from, int to) override;
   void OnCompartmentCall(int thread, int caller, int callee, int export_index,
-                         uint32_t depth);
-  void OnCompartmentReturn(int thread);
-  void OnLibraryCall(int thread, int caller, int library, int export_index);
-  // From Memory's device-window slow path; attributes to the mirrored
-  // current compartment of the mirrored current thread.
-  void OnMmioAccess(Address addr, Address size, bool is_store);
-  void OnSealingUse(int compartment, uint32_t type_id, bool unseal);
-  void OnHeapAlloc(uint32_t quota, Word bytes);
-  void OnHeapFree(uint32_t quota, Word bytes);
-  void OnQuotaDenied(uint32_t quota, Word bytes);
+                         uint32_t depth) override;
+  void OnLibraryCall(int thread, int caller, int library,
+                     int export_index) override;
+  // Attributes to the top of the current thread's compartment stack.
+  void OnMmioAccess(Address addr, Address size, bool is_store) override;
+  void OnSealingUse(int compartment, uint32_t type_id, bool unseal) override;
+  void OnHeapAlloc(int thread, int compartment, uint32_t quota,
+                   Word bytes) override;
+  void OnHeapFree(int thread, int compartment, uint32_t quota,
+                  Word bytes) override;
+  void OnQuotaDenied(int thread, int compartment, int attributed,
+                     uint32_t quota, Word bytes) override;
 
   // --- Read side (exporters, tests) ----------------------------------------
   using EdgeKey = std::tuple<int, int, int>;  // caller, callee, export
@@ -203,8 +177,8 @@ class CovRecorder {
   std::string label_;
   int board_index_ = 0;
 
-  // Mirrored compartment call stacks (switcher choke points).
-  std::vector<std::vector<int>> thread_stacks_;
+  // The kernel's guest threads (native compartment stacks).
+  const std::vector<GuestThread>* threads_ = nullptr;
   int current_thread_ = kCompartmentBoot;  // thread id, or pseudo id < 0
 
   std::map<EdgeKey, EdgeStats> calls_;
@@ -220,16 +194,7 @@ class CovRecorder {
   std::vector<std::vector<std::string>> export_names_;
   std::vector<std::string> library_names_;
   std::vector<std::vector<std::string>> library_export_names_;
-  std::vector<std::string> thread_names_;
 };
-
-// Attaches a recorder to a machine: publishes it through Machine::cov() so
-// the switcher, kernel, allocator and token capture sites see it, and
-// installs the MMIO observer on the memory's device-window slow path.
-// Null detaches both. Must be called before System::Boot() (which publishes
-// the name and grant tables); the recorder must outlive the machine's last
-// tick.
-void Attach(Machine& machine, CovRecorder* recorder);
 
 }  // namespace cheriot::cov
 

@@ -67,40 +67,20 @@ ForensicsRecorder::ForensicsRecorder(ForensicsOptions options)
   ring_.resize(options_.ring_capacity);
 }
 
-void ForensicsRecorder::SetCompartmentNames(std::vector<std::string> names) {
-  compartment_names_ = std::move(names);
-}
-void ForensicsRecorder::SetThreadNames(std::vector<std::string> names) {
-  thread_names_ = std::move(names);
+void ForensicsRecorder::OnAttach(Machine& machine) {
+  clock_ = &machine.clock();
 }
 
-void ForensicsRecorder::OnCompartmentCall(int thread, int callee) {
-  if (thread < 0) {
-    return;
-  }
-  if (static_cast<size_t>(thread) >= thread_stacks_.size()) {
-    thread_stacks_.resize(static_cast<size_t>(thread) + 1);
-  }
-  thread_stacks_[static_cast<size_t>(thread)].push_back(callee);
+void ForensicsRecorder::OnBoot(const BootTables& tables) {
+  compartment_names_ = tables.compartments;
+  thread_names_ = tables.threads;
 }
 
-void ForensicsRecorder::OnCompartmentReturn(int thread) {
-  if (thread < 0 || static_cast<size_t>(thread) >= thread_stacks_.size()) {
-    return;
-  }
-  auto& stack = thread_stacks_[static_cast<size_t>(thread)];
-  if (!stack.empty()) {
-    stack.pop_back();
-  }
-}
-
-void ForensicsRecorder::OnQuotaExhausted(int thread, int compartment,
-                                         uint32_t quota, Word bytes) {
-  (void)thread;
-  (void)quota;
-  (void)bytes;
+void ForensicsRecorder::OnQuotaDenied(int thread, int compartment,
+                                      int attributed, uint32_t quota,
+                                      Word bytes) {
   ++quota_exhaustions_;
-  ++quota_by_compartment_[compartment];
+  ++quota_by_compartment_[attributed];
 }
 
 void ForensicsRecorder::OnMicroReboot(int compartment, Cycles at) {
@@ -112,18 +92,9 @@ void ForensicsRecorder::OnMicroReboot(int compartment, Cycles at) {
   }
 }
 
-const std::vector<int>& ForensicsRecorder::CallStack(int thread) {
-  if (thread < 0 || static_cast<size_t>(thread) >= thread_stacks_.size()) {
-    static const std::vector<int> kEmpty;
-    return kEmpty;
-  }
-  return thread_stacks_[static_cast<size_t>(thread)];
-}
-
 uint64_t ForensicsRecorder::Record(CrashRecord record) {
   record.seq = next_seq_++;
   record.at = now();
-  record.call_stack = CallStack(record.thread);
   if (options_.capture_crash_scene && scene_hook_) {
     record.scene = scene_hook_();
   }
@@ -262,18 +233,6 @@ void ForensicsRecorder::SerializeState(snap::Writer& w) const {
     }
   }
   w.U64(total_reboots_);
-  w.U32(static_cast<uint32_t>(thread_stacks_.size()));
-  for (const auto& stack : thread_stacks_) {
-    w.U32(static_cast<uint32_t>(stack.size()));
-    for (int c : stack) {
-      w.I32(c);
-    }
-  }
-}
-
-void Attach(Machine& machine, ForensicsRecorder* recorder) {
-  recorder->SetClock(&machine.clock());
-  machine.set_forensics(recorder);
 }
 
 }  // namespace cheriot::health

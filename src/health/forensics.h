@@ -4,9 +4,9 @@
 // Every CHERI trap that reaches the switcher's first-level handler — and
 // every switcher-initiated forced unwind — files a structured crash record:
 // trap cause and faulting address, the full capability register file with
-// tag/bounds/permissions/seal decoded, the compartment call stack (from a
-// mirrored stack, like the trace profiler's — the trusted stack lives in
-// simulated memory and reading it would tick the clock), the trusted-stack
+// tag/bounds/permissions/seal decoded, the compartment call stack (the
+// thread's native compartment_stack — the trusted stack lives in simulated
+// memory and reading it would tick the clock), the trusted-stack
 // depth, the error-handler disposition the switcher took, and — when the
 // faulting address lands in the heap — the allocation-site provenance of the
 // object it points into ("who allocated this, and was it freed?").
@@ -14,9 +14,8 @@
 // Determinism contract (same as src/trace, pinned by tests/health_test.cpp):
 // the recorder only OBSERVES the cycle model. It never ticks the clock,
 // never touches simulated memory, and never consults host state, so enabling
-// forensics cannot move a single guest cycle. Every capture site in the
-// switcher/kernel/allocator is a raw-pointer null check through
-// Machine::forensics().
+// forensics cannot move a single guest cycle. The recorder is an Observer
+// (src/hw/observer.h): every capture site is the machine's observer loop.
 #ifndef SRC_HEALTH_FORENSICS_H_
 #define SRC_HEALTH_FORENSICS_H_
 
@@ -29,12 +28,9 @@
 
 #include "src/base/clock.h"
 #include "src/base/types.h"
+#include "src/hw/observer.h"
 #include "src/mem/trap.h"
 #include "src/switcher/registers.h"
-
-namespace cheriot {
-class Machine;
-}  // namespace cheriot
 
 namespace cheriot::snap {
 class Writer;
@@ -99,7 +95,7 @@ struct CrashRecord {
   Address fault_address = 0;
   Disposition disposition = Disposition::kUnwindNoHandler;
   std::vector<DecodedCap> regs;   // decoded register file at the fault
-  std::vector<int> call_stack;    // compartments, outermost first (mirror)
+  std::vector<int> call_stack;    // compartments, outermost first
   uint32_t trusted_depth = 0;     // trusted-stack frames below the fault
   HeapProvenance provenance;      // heap object the fault address hit, if any
   // Full machine-state crash scene (a serialized snapshot-section bundle,
@@ -124,31 +120,32 @@ struct ForensicsOptions {
   size_t scene_limit = 4;
 };
 
-class ForensicsRecorder {
+class ForensicsRecorder : public Observer {
  public:
   explicit ForensicsRecorder(ForensicsOptions options = {});
 
   ForensicsRecorder(const ForensicsRecorder&) = delete;
   ForensicsRecorder& operator=(const ForensicsRecorder&) = delete;
 
-  // --- Wiring (Attach() / System::Boot) ------------------------------------
-  void SetClock(const CycleClock* clock) { clock_ = clock; }
   void SetLabel(std::string label) { label_ = std::move(label); }
   void SetBoardIndex(int index) { board_index_ = index; }
-  void SetCompartmentNames(std::vector<std::string> names);
-  void SetThreadNames(std::vector<std::string> names);
 
-  // --- Choke-point mirrors (same sites as the trace recorder's) ------------
-  void OnCompartmentCall(int thread, int callee);
-  void OnCompartmentReturn(int thread);
-  void OnQuotaExhausted(int thread, int compartment, uint32_t quota,
-                        Word bytes);
-  void OnMicroReboot(int compartment, Cycles at);
+  // --- Observer hooks -------------------------------------------------------
+  void OnAttach(Machine& machine) override;
+  void OnBoot(const BootTables& tables) override;
+  // Attributed to the compartment that *asked* for memory, not the alloc
+  // service the heap_allocate export runs in — that is what the
+  // quota-exhaustion detector keys on.
+  void OnQuotaDenied(int thread, int compartment, int attributed,
+                     uint32_t quota, Word bytes) override;
+  void OnMicroReboot(int compartment, Cycles at) override;
+  std::optional<uint64_t> FileCrash(const CrashRecord& record) override {
+    return Record(record);
+  }
 
-  // Files a crash record: stamps seq and guest time, snapshots the mirrored
-  // compartment stack for `record.thread`, and appends to the ring (dropping
-  // the oldest when full). Returns the record's sequence number so a
-  // co-attached trace can join the two streams. When crash scenes are
+  // Files a crash record: stamps seq and guest time and appends to the ring
+  // (dropping the oldest when full). Returns the record's sequence number so
+  // a co-attached trace can join the two streams. When crash scenes are
   // enabled the scene hook runs here and its blob rides on the record,
   // bounded by ForensicsOptions::scene_limit.
   uint64_t Record(CrashRecord record);
@@ -160,10 +157,6 @@ class ForensicsRecorder {
   void SetSceneHook(std::function<std::vector<uint8_t>()> hook) {
     scene_hook_ = std::move(hook);
   }
-
-  // Mirrored compartment stack for a thread (capture helper for the
-  // switcher; outermost first).
-  const std::vector<int>& CallStack(int thread);
 
   // --- Read side (health monitor, tools, tests) ----------------------------
   std::vector<CrashRecord> Records() const;
@@ -225,10 +218,6 @@ class ForensicsRecorder {
   // Ring slots (in emit order) currently holding a scene blob, oldest first.
   std::deque<uint64_t> scene_seqs_;
 
-  // Mirrored per-thread compartment stacks (fed from the switcher's
-  // call/return choke points, like the trace profiler's).
-  std::vector<std::vector<int>> thread_stacks_;
-
   // Aggregates.
   std::map<int, uint64_t> by_cause_;
   std::map<int, uint64_t> by_compartment_;
@@ -244,13 +233,6 @@ class ForensicsRecorder {
   std::vector<std::string> compartment_names_;
   std::vector<std::string> thread_names_;
 };
-
-// Attaches a recorder to a machine: publishes it through
-// Machine::forensics() so the switcher, kernel and allocator capture sites
-// see it. Must be called before System::Boot() (which publishes the name
-// tables); the recorder must outlive the machine's last tick. Unlike the
-// trace recorder there is no clock hook: forensics has no catch-up charging.
-void Attach(Machine& machine, ForensicsRecorder* recorder);
 
 }  // namespace cheriot::health
 

@@ -145,7 +145,7 @@ void SerializeFrame(snap::Writer& w, const EthernetDevice::Frame& f) {
   w.Bytes(f.data(), f.size());
 }
 EthernetDevice::Frame RestoreFrame(snap::Reader& r) {
-  EthernetDevice::Frame f(r.U32());
+  EthernetDevice::Frame f(r.Count(1));
   r.BytesInto(f.data(), f.size());
   return f;
 }
@@ -166,7 +166,7 @@ void LedBank::SerializeState(snap::Writer& w) const {
 
 void LedBank::RestoreState(snap::Reader& r) {
   state_ = r.U32();
-  events_.resize(r.U32());
+  events_.resize(r.Count(12));  // u64 cycle + u32 mask per event
   for (Event& e : events_) {
     e.at = r.U64();
     e.mask = r.U32();

@@ -9,7 +9,7 @@ Machine::Machine(const MachineConfig& config)
       memory_(config.sram_base, config.sram_size, &clock_),
       leds_(&clock_),
       timer_(&clock_, &irqs_),
-      revoker_(&memory_, &irqs_),
+      revoker_(&memory_, &irqs_, &observers_),
       ethernet_(&irqs_) {
   uart_.set_echo(config.uart_echo);
 
@@ -40,7 +40,18 @@ void Machine::RebindHostHandles() {
         machine->timer_.Poll();
       },
       this);
-  revoker_.set_trace(trace_);
+}
+
+void Machine::AddObserver(Observer* observer) {
+  observers_.push_back(observer);
+  memory_.SetMmioObserver(
+      [](void* self, Address addr, Address size, bool is_store) {
+        for (Observer* o : static_cast<Machine*>(self)->observers_) {
+          o->OnMmioAccess(addr, size, is_store);
+        }
+      },
+      this);
+  observer->OnAttach(*this);
 }
 
 bool Machine::HasFutureEvent() const {

@@ -13,22 +13,11 @@
 #include "src/base/costs.h"
 #include "src/base/types.h"
 #include "src/hw/devices.h"
+#include "src/hw/observer.h"
 #include "src/hw/revoker.h"
 #include "src/mem/memory.h"
 
 namespace cheriot {
-
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
-
-namespace health {
-class ForensicsRecorder;
-}  // namespace health
-
-namespace cov {
-class CovRecorder;
-}  // namespace cov
 
 struct MachineConfig {
   Address sram_base = 0x20000000;
@@ -78,31 +67,14 @@ class Machine {
     next_event_sources_.push_back(std::move(fn));
   }
 
-  // Flight recorder (src/trace). Null when tracing is off — every emit site
-  // is a raw-pointer null check, so the off path costs one predictable
-  // branch. Set via trace::Attach(); also published to devices that emit
-  // events of their own (revoker).
-  trace::TraceRecorder* trace() const { return trace_; }
-  void set_trace(trace::TraceRecorder* recorder) {
-    trace_ = recorder;
-    revoker_.set_trace(recorder);
-  }
-
-  // Crash forensics recorder (src/health). Null when forensics is off; the
-  // same zero-cost-when-off rule as trace() — every capture site in the
-  // switcher, kernel and allocator is a raw-pointer null check. Set via
-  // health::Attach().
-  health::ForensicsRecorder* forensics() const { return forensics_; }
-  void set_forensics(health::ForensicsRecorder* recorder) {
-    forensics_ = recorder;
-  }
-
-  // Authority-coverage recorder (src/cov). Null when coverage is off; same
-  // zero-cost-when-off rule as trace()/forensics() — every capture site is a
-  // raw-pointer null check. Set via cov::Attach(), which also installs the
-  // memory's MMIO observer.
-  cov::CovRecorder* cov() const { return cov_; }
-  void set_cov(cov::CovRecorder* recorder) { cov_ = recorder; }
+  // Observers (src/hw/observer.h): the trace, forensics and coverage
+  // recorders and anything a test attaches. Every choke point loops over
+  // this vector, so with nothing attached the off path is one empty range.
+  // AddObserver calls the observer's OnAttach and routes the memory's MMIO
+  // slow path to every observer's OnMmioAccess. Must be called before
+  // System::Boot(); the observer must outlive the machine's last tick.
+  const std::vector<Observer*>& observers() const { return observers_; }
+  void AddObserver(Observer* observer);
 
   // True if any hardware activity is scheduled for the future (armed timer,
   // in-flight revocation sweep, pending world events).
@@ -111,8 +83,8 @@ class Machine {
   bool HasFutureEventIgnoringTimer() const;
 
   // Snapshot restore support (DESIGN.md §10): re-seats every raw pointer
-  // this machine hands out to its own components — the PR 1 raw clock hook
-  // (revoker + timer background work) and the device-side trace pointer.
+  // this machine hands out to its own components: the raw clock hook
+  // (revoker + timer background work).
   // Guest state is serialised per-component by the Board (clock, SRAM/tags/
   // revocation, IRQ lines, devices, revoker); host handles (MMIO closures,
   // this hook, next-event sources) are never serialised — they are rebound
@@ -131,9 +103,7 @@ class Machine {
   Revoker revoker_;
   EthernetDevice ethernet_;
   EntropySource entropy_;
-  trace::TraceRecorder* trace_ = nullptr;
-  health::ForensicsRecorder* forensics_ = nullptr;
-  cov::CovRecorder* cov_ = nullptr;
+  std::vector<Observer*> observers_;
   std::vector<NextEventFn> next_event_sources_;
 };
 

@@ -6,21 +6,23 @@
 #define SRC_HW_REVOKER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/base/types.h"
 #include "src/hw/devices.h"
+#include "src/hw/observer.h"
 #include "src/mem/memory.h"
 
 namespace cheriot {
 
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
-
 class Revoker {
  public:
-  Revoker(Memory* memory, InterruptController* irqs)
-      : memory_(memory), irqs_(irqs) {}
+  // `observers` is the owning Machine's observer list: sweep begin/end are
+  // reported from here because only the revoker knows when a sweep actually
+  // completes.
+  Revoker(Memory* memory, InterruptController* irqs,
+          const std::vector<Observer*>* observers)
+      : memory_(memory), irqs_(irqs), observers_(observers) {}
 
   // MMIO register bank: 0 = epoch (completed sweeps), 4 = control (write 1
   // to start a sweep; idempotent while sweeping), 8 = status (1 = sweeping),
@@ -49,12 +51,8 @@ class Revoker {
   // loop's time-skip.
   Cycles CyclesUntilDone() const;
 
-  // Published by Machine::set_trace; sweep begin/end events are emitted from
-  // here because only the revoker knows when a sweep actually completes.
-  void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-
   // Snapshot save/restore (DESIGN.md §10): sweep progress is guest-visible
-  // state; memory_/irqs_/trace_ are host handles owned by the Machine.
+  // state; memory_/irqs_/observers_ are host handles owned by the Machine.
   void SerializeState(snap::Writer& w) const;
   void RestoreState(snap::Reader& r);
 
@@ -63,7 +61,7 @@ class Revoker {
 
   Memory* memory_;
   InterruptController* irqs_;
-  trace::TraceRecorder* trace_ = nullptr;
+  const std::vector<Observer*>* observers_;
   bool sweeping_ = false;
   bool restart_requested_ = false;
   bool irq_requested_ = false;

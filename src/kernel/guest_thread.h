@@ -50,7 +50,8 @@ class GuestThread {
   // Native mirror of the trusted stack's compartment chain (outermost first,
   // current compartment last), maintained by the switcher at the same choke
   // points as frame_depth. Lets the TCB attribute an operation to the alloc
-  // service's *caller* without reading simulated memory (which would tick
+  // service's *caller*, and the observers (src/hw/observer.h) read the
+  // running call chain, without reading simulated memory (which would tick
   // the clock).
   std::vector<int> compartment_stack;
   bool interrupts_enabled = true;

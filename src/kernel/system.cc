@@ -5,11 +5,8 @@
 
 #include "src/base/costs.h"
 #include "src/base/log.h"
-#include "src/cov/coverage.h"
-#include "src/health/forensics.h"
 #include "src/runtime/compartment_ctx.h"
 #include "src/snap/wire.h"
-#include "src/trace/trace.h"
 
 // AddressSanitizer needs to be told about ucontext fiber switches or it
 // reports false stack-use-after-scope errors on every context switch (see
@@ -109,7 +106,7 @@ int System::StartingThreadId() const { return starting_thread_id_; }
 
 void System::Boot() {
   boot_ = Loader::Load(machine_, std::move(image_));
-  sched_ = std::make_unique<Scheduler>(&threads_);
+  sched_ = std::make_unique<Scheduler>(&threads_, &machine_.observers());
   switcher_ = std::make_unique<Switcher>(this);
   alloc_ = std::make_unique<Allocator>(this);
   token_ = std::make_unique<TokenService>(this);
@@ -129,126 +126,76 @@ void System::Boot() {
       [](void* self) { static_cast<System*>(self)->PreemptCheck(); }, this);
   booted_ = true;
 
-  if (auto* tr = machine_.trace()) {
-    // Publish the image's name tables so events stay integer-only and the
-    // exporters resolve names at the end; then close the boot attribution
-    // bucket — everything from here on is charged to idle or a thread.
-    std::vector<std::string> compartments;
-    std::vector<std::vector<std::string>> exports;
-    for (const auto& c : boot_->compartments) {
-      compartments.push_back(c.name);
-      std::vector<std::string> names;
-      for (const auto& e : c.def->exports) {
-        names.push_back(e.name);
-      }
-      exports.push_back(std::move(names));
+  if (!machine_.observers().empty()) {
+    const BootTables tables = BuildBootTables();
+    for (Observer* o : machine_.observers()) {
+      o->OnBoot(tables);
     }
-    std::vector<std::string> libraries;
-    for (const auto& l : boot_->libraries) {
-      libraries.push_back(l.name);
-    }
-    std::vector<std::string> thread_names;
-    for (const auto& t : threads_) {
-      thread_names.push_back(t.name);
-    }
-    tr->SetCompartmentNames(std::move(compartments));
-    tr->SetExportNames(std::move(exports));
-    tr->SetLibraryNames(std::move(libraries));
-    tr->SetThreadNames(std::move(thread_names));
-    sched_->set_trace(tr);
-    tr->OnBootDone();
   }
-  if (auto* hr = machine_.forensics()) {
-    // Same name publication for the forensics recorder: crash records stay
-    // integer-only and the health report resolves names at the end.
-    std::vector<std::string> compartments;
-    for (const auto& c : boot_->compartments) {
-      compartments.push_back(c.name);
+}
+
+BootTables System::BuildBootTables() {
+  BootTables t;
+  for (const auto& c : boot_->compartments) {
+    t.compartments.push_back(c.name);
+    std::vector<std::string> names;
+    for (const auto& e : c.def->exports) {
+      names.push_back(e.name);
     }
-    std::vector<std::string> thread_names;
-    for (const auto& t : threads_) {
-      thread_names.push_back(t.name);
-    }
-    hr->SetCompartmentNames(std::move(compartments));
-    hr->SetThreadNames(std::move(thread_names));
+    t.exports.push_back(std::move(names));
   }
-  if (auto* cr = machine_.cov()) {
-    // Name tables plus the *static grant tables* the coverage recorder diffs
-    // exercise against: MMIO windows, allocation capabilities and sealing
-    // keys, all read from native loader state (RawLoadWord for the quota
-    // headers) — no guest cycles. Declaration order is import-table order,
-    // keeping the export byte-stable.
-    std::vector<std::string> compartments;
-    std::vector<std::vector<std::string>> exports;
-    for (const auto& c : boot_->compartments) {
-      compartments.push_back(c.name);
-      std::vector<std::string> names;
-      for (const auto& e : c.def->exports) {
-        names.push_back(e.name);
-      }
-      exports.push_back(std::move(names));
+  for (const auto& l : boot_->libraries) {
+    t.libraries.push_back(l.name);
+    std::vector<std::string> names;
+    for (const auto& e : l.def->exports) {
+      names.push_back(e.name);
     }
-    std::vector<std::string> libraries;
-    std::vector<std::vector<std::string>> lib_exports;
-    for (const auto& l : boot_->libraries) {
-      libraries.push_back(l.name);
-      std::vector<std::string> names;
-      for (const auto& e : l.def->exports) {
-        names.push_back(e.name);
-      }
-      lib_exports.push_back(std::move(names));
-    }
-    std::vector<std::string> thread_names;
-    for (const auto& t : threads_) {
-      thread_names.push_back(t.name);
-    }
-    cr->SetCompartmentNames(std::move(compartments));
-    cr->SetExportNames(std::move(exports));
-    cr->SetLibraryNames(std::move(libraries));
-    cr->SetLibraryExportNames(std::move(lib_exports));
-    cr->SetThreadNames(std::move(thread_names));
-    // Invert the virtual-type-id table once for sealing-key names.
-    std::map<uint32_t, std::string> type_names;
-    for (const auto& [name, id] : boot_->virtual_type_ids) {
-      type_names[id] = name;
-    }
-    for (size_t ci = 0; ci < boot_->compartments.size(); ++ci) {
-      for (const ImportBinding& b : boot_->compartments[ci].imports) {
-        switch (b.kind) {
-          case ImportBinding::Kind::kMmio:
-            cr->AddMmioGrant(static_cast<int>(ci), b.qualified_name,
-                             b.cap.base(), b.cap.length(),
-                             b.cap.permissions().Has(Permission::kStore));
-            break;
-          case ImportBinding::Kind::kSealedObject: {
-            // Allocation capabilities are sealed quota headers: magic 'ALOC',
-            // then limit and used words, then the quota id.
-            const Word magic = machine_.memory().RawLoadWord(b.cap.base());
-            if (magic == 0x414C4F43) {
-              const Word limit =
-                  machine_.memory().RawLoadWord(b.cap.base() + 4);
-              const Word quota_id =
-                  machine_.memory().RawLoadWord(b.cap.base() + 12);
-              cr->AddQuotaGrant(quota_id, static_cast<int>(ci),
-                                b.qualified_name, limit);
-            }
-            break;
+    t.library_exports.push_back(std::move(names));
+  }
+  for (const auto& thread : threads_) {
+    t.threads.push_back(thread.name);
+  }
+  t.guest_threads = &threads_;
+  // Static grant tables, all read from native loader state (RawLoadWord for
+  // the quota headers) — no guest cycles. Declaration order is import-table
+  // order.
+  std::map<uint32_t, std::string> type_names;
+  for (const auto& [name, id] : boot_->virtual_type_ids) {
+    type_names[id] = name;
+  }
+  Memory& mem = machine_.memory();
+  for (size_t ci = 0; ci < boot_->compartments.size(); ++ci) {
+    const int comp = static_cast<int>(ci);
+    for (const ImportBinding& b : boot_->compartments[ci].imports) {
+      switch (b.kind) {
+        case ImportBinding::Kind::kMmio:
+          t.mmio_grants.push_back(
+              {comp, b.qualified_name, b.cap.base(), b.cap.length(),
+               b.cap.permissions().Has(Permission::kStore)});
+          break;
+        case ImportBinding::Kind::kSealedObject:
+          // Allocation capabilities are sealed quota headers: magic 'ALOC',
+          // then limit and used words, then the quota id.
+          if (mem.RawLoadWord(b.cap.base()) == 0x414C4F43) {
+            t.quota_grants.push_back({mem.RawLoadWord(b.cap.base() + 12), comp,
+                                      b.qualified_name,
+                                      mem.RawLoadWord(b.cap.base() + 4)});
           }
-          case ImportBinding::Kind::kSealingKey: {
-            const uint32_t type_id = b.cap.cursor();
-            auto it = type_names.find(type_id);
-            cr->AddSealingGrant(static_cast<int>(ci),
-                                it != type_names.end() ? it->second
-                                                       : b.qualified_name,
-                                type_id);
-            break;
-          }
-          default:
-            break;
+          break;
+        case ImportBinding::Kind::kSealingKey: {
+          const uint32_t type_id = b.cap.cursor();
+          auto it = type_names.find(type_id);
+          t.sealing_grants.push_back(
+              {comp, it != type_names.end() ? it->second : b.qualified_name,
+               type_id});
+          break;
         }
+        default:
+          break;
       }
     }
   }
+  return t;
 }
 
 void System::CreateThreads() {
@@ -326,13 +273,10 @@ void System::SwitchTo(int next_id) {
   current_thread_id_ = next_id;
   quantum_end_ = Now() + options_.tick_quantum;
   ArmTimer();
-  if (auto* tr = machine_.trace()) {
+  for (Observer* o : machine_.observers()) {
     // Before the tick below, so the switch cost is charged to the incoming
     // thread's context.
-    tr->OnContextSwitch(prev, next_id);
-  }
-  if (auto* cr = machine_.cov()) {
-    cr->OnContextSwitch(next_id);
+    o->OnContextSwitch(prev, next_id);
   }
   machine_.Tick(cost::kContextSwitch);
   ucontext_t* prev_ctx =
@@ -352,11 +296,8 @@ void System::SwitchToIdle() {
   const bool prev_dying =
       threads_[prev].state == GuestThread::State::kExited;
   current_thread_id_ = -1;
-  if (auto* tr = machine_.trace()) {
-    tr->OnContextSwitch(prev, -1);
-  }
-  if (auto* cr = machine_.cov()) {
-    cr->OnContextSwitch(cov::kCompartmentIdle);
+  for (Observer* o : machine_.observers()) {
+    o->OnContextSwitch(prev, -1);
   }
   in_kernel_ = false;
   FiberSwap(&threads_[prev].context, &main_context_, nullptr, prev_dying);
@@ -650,10 +591,10 @@ Cycles System::MicroRebootCompartment(int compartment_id) {
   rt.call_guard_closed = false;
   rt.last_reboot_at = start;
   rt.last_reboot_duration = Now() - start;
-  if (auto* hr = machine_.forensics()) {
+  for (Observer* o : machine_.observers()) {
     // Reboot-loop detection keys off the guest-cycle timestamps of the last
     // N micro-reboots per compartment.
-    hr->OnMicroReboot(compartment_id, start);
+    o->OnMicroReboot(compartment_id, start);
   }
   return rt.last_reboot_duration;
 }
@@ -733,12 +674,12 @@ System::RunResult System::Run(Cycles max_cycles) {
     }
     const Cycles skipped = machine_.AdvanceIdle(limit, options_.fast_forward);
     sched_->AddIdleCycles(skipped);
-    if (auto* tr = machine_.trace();
-        tr != nullptr && options_.fast_forward &&
-        skipped >= options_.tick_quantum) {
+    if (options_.fast_forward && skipped >= options_.tick_quantum) {
       // Idle-span event: spans the quantum timer would have chopped. Purely
       // observational — the span is already charged to the idle context.
-      tr->OnIdleFastForward(skipped);
+      for (Observer* o : machine_.observers()) {
+        o->OnIdleFastForward(skipped);
+      }
     }
   }
 }
@@ -1021,13 +962,11 @@ FirmwareImage System::AugmentWithTcb(FirmwareImage image) {
 
 void System::BootFromSnapshot(snap::Reader& r) {
   CHERIOT_CHECK(!booted_, "BootFromSnapshot on an already-booted system");
-  // The cold restore path regenerates no history, so recorders attached now
-  // would start from an inconsistent blank; boards that need tracing across
-  // a restore use the replay path instead.
-  CHERIOT_CHECK(machine_.trace() == nullptr &&
-                    machine_.forensics() == nullptr &&
-                    machine_.cov() == nullptr,
-                "cold snapshot restore forbids attached recorders");
+  // The cold restore path regenerates no history, so observers attached now
+  // would start from an inconsistent blank; boards that need recorders
+  // across a restore use the replay path instead.
+  CHERIOT_CHECK(machine_.observers().empty(),
+                "cold snapshot restore forbids attached observers");
   boot_ = DeserializeBootInfo(r);
   boot_->image = std::move(image_);
 
@@ -1061,7 +1000,7 @@ void System::BootFromSnapshot(snap::Reader& r) {
     rt.def = &def;
   }
 
-  sched_ = std::make_unique<Scheduler>(&threads_);
+  sched_ = std::make_unique<Scheduler>(&threads_, &machine_.observers());
   switcher_ = std::make_unique<Switcher>(this);
   alloc_ = std::make_unique<Allocator>(this);
   token_ = std::make_unique<TokenService>(this);
@@ -1170,7 +1109,7 @@ void System::RestoreState(snap::Reader& r) {
     t.max_frames = r.U16();
     t.frame_depth = r.U16();
     t.current_compartment = r.I32();
-    t.compartment_stack.resize(r.U32());
+    t.compartment_stack.resize(r.Count(4));
     for (int& c : t.compartment_stack) {
       c = r.I32();
     }

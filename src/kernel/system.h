@@ -160,6 +160,8 @@ class System {
  private:
   FirmwareImage AugmentWithTcb(FirmwareImage image);
   void CreateThreads();
+  // The name and grant tables handed to every observer's OnBoot.
+  BootTables BuildBootTables();
   void SwitchTo(int thread_id);
   void SwitchToIdle();
   // All fiber switches go through here so AddressSanitizer can be told about

@@ -5,7 +5,6 @@
 #include "src/base/check.h"
 #include "src/kernel/schedule_arbiter.h"
 #include "src/snap/wire.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
 
@@ -39,8 +38,8 @@ void Scheduler::MakeReady(int thread_id) {
       t.state != GuestThread::State::kRunning) {
     t.state = GuestThread::State::kReady;
     ready_[t.priority % kPriorities].push_back(thread_id);
-    if (trace_ != nullptr) {
-      trace_->OnThreadWake(thread_id);
+    for (Observer* o : *observers_) {
+      o->OnThreadWake(thread_id);
     }
   }
 }
@@ -57,8 +56,8 @@ void Scheduler::MakeBlocked(int thread_id, Address futex_addr, Cycles wake_at) {
     futex_waiters_[futex_addr].push_back(thread_id);
     ++futex_waits_;
   }
-  if (trace_ != nullptr) {
-    trace_->OnThreadBlock(thread_id, futex_addr);
+  for (Observer* o : *observers_) {
+    o->OnThreadBlock(thread_id, futex_addr);
   }
 }
 
@@ -68,8 +67,8 @@ void Scheduler::MakeSleeping(int thread_id, Cycles wake_at) {
   t.state = GuestThread::State::kSleeping;
   t.futex_addr = 0;
   t.wake_at = wake_at;
-  if (trace_ != nullptr) {
-    trace_->OnThreadSleep(thread_id, wake_at);
+  for (Observer* o : *observers_) {
+    o->OnThreadSleep(thread_id, wake_at);
   }
 }
 
@@ -133,8 +132,8 @@ int Scheduler::FutexWake(Address addr, int count) {
       if (t.state == GuestThread::State::kBlocked) {
         t.state = GuestThread::State::kReady;
         ready_[t.priority % kPriorities].push_back(id);
-        if (trace_ != nullptr) {
-          trace_->OnThreadWake(id);
+        for (Observer* o : *observers_) {
+          o->OnThreadWake(id);
         }
       }
       ++woken;
@@ -179,8 +178,8 @@ int Scheduler::FutexWake(Address addr, int count) {
     if (t.state == GuestThread::State::kBlocked) {
       t.state = GuestThread::State::kReady;
       ready_[t.priority % kPriorities].push_back(id);
-      if (trace_ != nullptr) {
-        trace_->OnThreadWake(id);
+      for (Observer* o : *observers_) {
+        o->OnThreadWake(id);
       }
     }
     ++woken;
@@ -248,8 +247,8 @@ void Scheduler::BlockOnMultiwaiter(int thread_id, int mw_id, Cycles wake_at) {
   t.timed_out = false;
   t.block_seq = ++block_seq_counter_;
   multiwaiters_[mw_id].waiting_thread = thread_id;
-  if (trace_ != nullptr) {
-    trace_->OnThreadBlock(thread_id, 0);
+  for (Observer* o : *observers_) {
+    o->OnThreadBlock(thread_id, 0);
   }
 }
 
@@ -278,8 +277,8 @@ int Scheduler::WakeExpired(Cycles now) {
       t.wake_at = GuestThread::kNoDeadline;
       t.state = GuestThread::State::kReady;
       ready_[t.priority % kPriorities].push_back(t.id);
-      if (trace_ != nullptr) {
-        trace_->OnThreadWake(t.id);
+      for (Observer* o : *observers_) {
+        o->OnThreadWake(t.id);
       }
       ++woken;
     }
@@ -361,11 +360,13 @@ void Scheduler::RestoreState(snap::Reader& r) {
     }
   }
   multiwaiters_.clear();
-  multiwaiters_.resize(r.U32());
+  // A multiwaiter is at least 13 bytes: live, max_events, the address
+  // count and the waiting thread.
+  multiwaiters_.resize(r.Count(13));
   for (Multiwaiter& mw : multiwaiters_) {
     mw.live = r.Bool();
     mw.max_events = r.I32();
-    mw.addrs.resize(r.U32());
+    mw.addrs.resize(r.Count(4));
     for (Address& a : mw.addrs) {
       a = r.U32();
     }

@@ -17,15 +17,12 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/hw/devices.h"
+#include "src/hw/observer.h"
 #include "src/kernel/guest_thread.h"
 
 namespace cheriot {
 
 class ScheduleArbiter;
-
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
 
 namespace snap {
 class Writer;
@@ -36,7 +33,11 @@ class Scheduler {
  public:
   static constexpr int kPriorities = 16;
 
-  explicit Scheduler(std::vector<GuestThread>* threads) : threads_(threads) {}
+  // `observers` is the machine's observer list; wake/block/sleep are
+  // reported to it.
+  Scheduler(std::vector<GuestThread>* threads,
+            const std::vector<Observer*>* observers)
+      : threads_(threads), observers_(observers) {}
 
   // --- Ready-queue management ---
   void MakeReady(int thread_id);
@@ -91,18 +92,14 @@ class Scheduler {
 
   bool AllExited() const;
 
-  // Flight recorder for wake/sleep/block events; null when tracing is off.
-  // Set by System::Boot when a recorder is attached to the machine.
-  void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-
   // Schedule-exploration arbiter (src/kernel/schedule_arbiter.h); null in
   // normal operation. Consulted for wake-order and multiwaiter-completion
-  // choices in FutexWake. A host handle like trace_: never snapshotted.
+  // choices in FutexWake. A host handle like observers_: never snapshotted.
   void set_arbiter(ScheduleArbiter* arbiter) { arbiter_ = arbiter; }
 
   // Snapshot save/restore (DESIGN.md §10): queues, wait sets, multiwaiter
   // table (including dead slots — indices are guest-visible ids) and idle
-  // accounting. threads_/trace_ are host handles owned by the System.
+  // accounting. threads_/observers_ are host handles owned by the System.
   void SerializeState(snap::Writer& w) const;
   void RestoreState(snap::Reader& r);
 
@@ -127,7 +124,7 @@ class Scheduler {
   // Source of GuestThread::block_seq stamps; monotonic over the machine's
   // life and serialized so FIFO wake order is pinned across snapshot/restore.
   uint64_t block_seq_counter_ = 0;
-  trace::TraceRecorder* trace_ = nullptr;
+  const std::vector<Observer*>* observers_;
   ScheduleArbiter* arbiter_ = nullptr;
 };
 

@@ -22,8 +22,8 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
     // bit-identical — including their snapshots.
     const flow::FlowId flow{static_cast<int16_t>(options_.index), tx_seq_++};
     ++nic_tx_frames_;
-    if (auto* tr = machine_.trace()) {
-      tr->OnNicTx(frame.size(), flow.origin, flow.seq);
+    for (Observer* o : machine_.observers()) {
+      o->OnNicTx(frame.size(), flow.origin, flow.seq);
     }
     tx_staged_.push_back({machine_.clock().now(), std::move(frame), flow});
   };
@@ -36,24 +36,25 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
   });
 }
 
+template <typename Recorder, typename Options>
+Recorder* Board::Enable(std::unique_ptr<Recorder>& slot, Options& saved,
+                        const Options& options) {
+  CHERIOT_CHECK(!booted_, "Board recorders must be enabled before Boot()");
+  saved = options;
+  slot = std::make_unique<Recorder>(options);
+  slot->SetLabel("board" + std::to_string(options_.index));
+  slot->SetBoardIndex(options_.index);
+  machine_.AddObserver(slot.get());
+  return slot.get();
+}
+
 trace::TraceRecorder* Board::EnableTrace(trace::TraceOptions options) {
-  CHERIOT_CHECK(!booted_, "Board::EnableTrace() after Boot()");
-  trace_options_ = options;
-  trace_ = std::make_unique<trace::TraceRecorder>(options);
-  trace_->SetLabel("board" + std::to_string(options_.index));
-  trace_->SetBoardIndex(options_.index);
-  trace::Attach(machine_, trace_.get());
-  return trace_.get();
+  return Enable(trace_, trace_options_, options);
 }
 
 health::ForensicsRecorder* Board::EnableForensics(
     health::ForensicsOptions options) {
-  CHERIOT_CHECK(!booted_, "Board::EnableForensics() after Boot()");
-  forensics_ = std::make_unique<health::ForensicsRecorder>(options);
-  forensics_->SetLabel("board" + std::to_string(options_.index));
-  forensics_->SetBoardIndex(options_.index);
-  health::Attach(machine_, forensics_.get());
-  forensics_options_ = options;
+  Enable(forensics_, forensics_options_, options);
   if (options.capture_crash_scene) {
     // Crash-scene capture (DESIGN.md §10): attach a full machine-state
     // snapshot to each crash record. The serializer is a pure observer —
@@ -64,13 +65,7 @@ health::ForensicsRecorder* Board::EnableForensics(
 }
 
 cov::CovRecorder* Board::EnableCoverage(cov::CovOptions options) {
-  CHERIOT_CHECK(!booted_, "Board::EnableCoverage() after Boot()");
-  cov_options_ = options;
-  cov_ = std::make_unique<cov::CovRecorder>(options);
-  cov_->SetLabel("board" + std::to_string(options_.index));
-  cov_->SetBoardIndex(options_.index);
-  cov::Attach(machine_, cov_.get());
-  return cov_.get();
+  return Enable(cov_, cov_options_, options);
 }
 
 void Board::Boot() {
@@ -90,9 +85,9 @@ void Board::PumpRx() {
     if (arbiter_ != nullptr &&
         arbiter_->Choose(DecisionKind::kNicLoss, seq, 2) == 1) {
       ++nic_frames_dropped_;
-      if (auto* tr = machine_.trace()) {
-        tr->OnFrameDrop(flow::kDropNicLoss, rx.frame.size(), rx.flow.origin,
-                        rx.flow.seq);
+      for (Observer* o : machine_.observers()) {
+        o->OnFrameDrop(flow::kDropNicLoss, rx.frame.size(), rx.flow.origin,
+                       rx.flow.seq);
       }
       if (flow_staging_) {
         flow_obs_.push_back({FlowObs::Kind::kDropped, rx.flow, now,
@@ -102,8 +97,8 @@ void Board::PumpRx() {
       continue;
     }
     ++nic_rx_frames_;
-    if (auto* tr = machine_.trace()) {
-      tr->OnNicRx(rx.frame.size(), rx.flow.origin, rx.flow.seq);
+    for (Observer* o : machine_.observers()) {
+      o->OnNicRx(rx.frame.size(), rx.flow.origin, rx.flow.seq);
     }
     if (flow_staging_) {
       flow_obs_.push_back({FlowObs::Kind::kDelivered, rx.flow, now,
@@ -343,7 +338,7 @@ void Board::RestoreStateSections(const snap::Container& c) {
        [this](snap::Reader& r) { system_.alloc().RestoreState(r); });
   with(snap::kSecBoard, [this](snap::Reader& r) { RestoreBoardSection(r); });
   // Re-seat every host-side raw pointer the machine hands to its own
-  // components (PR 1 raw clock hook, device trace pointers).
+  // components (the raw clock hook).
   machine_.RebindHostHandles();
 }
 

@@ -223,6 +223,11 @@ class Board {
   };
 
   void PumpRx();
+  // Creates a recorder, labels it with this board's index, keeps its
+  // options for replay restore and attaches it to the machine.
+  template <typename Recorder, typename Options>
+  Recorder* Enable(std::unique_ptr<Recorder>& slot, Options& saved,
+                   const Options& options);
   void SerializeBoardSection(snap::Writer& w) const;
   void RestoreBoardSection(snap::Reader& r);
   // Full container for Snapshot(): OPTS + BOOT + state sections + recorder

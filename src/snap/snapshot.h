@@ -28,7 +28,10 @@ inline constexpr uint64_t kMagic = 0x50414E5352454843ull;  // "CHERSNAP" LE
 // pinning FIFO futex wake order across snapshot/restore.
 // v3: authority-coverage recorder (COVG section + coverage presence bytes in
 // the board OPTS and fleet FLET sections).
-inline constexpr uint32_t kVersion = 3;
+// v4: the trace (TRCE), forensics (HLTH) and coverage (COVG) sections no
+// longer carry mirrored per-thread compartment stacks; recorders read the
+// threads' compartment_stack, which KERN already saves.
+inline constexpr uint32_t kVersion = 4;
 
 enum Kind : uint8_t {
   kBoard = 1,  // one board: options + full machine/kernel state (+ log)

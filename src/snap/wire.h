@@ -104,8 +104,22 @@ class Reader {
   bool Bool() { return U8() != 0; }
   void BytesInto(void* out, size_t size) {
     Need(size);
+    if (size == 0) {
+      return;  // an empty destination may be null; memcpy forbids that
+    }
     std::memcpy(out, p_, size);
     p_ += size;
+  }
+  // An element count that sizes an allocation: rejects a count that could
+  // not fit in the bytes left, given each element takes at least
+  // `min_element_bytes`, so a corrupt length throws SnapshotError before
+  // anything is allocated.
+  uint32_t Count(size_t min_element_bytes) {
+    const uint32_t n = U32();
+    if (n > remaining() / min_element_bytes) {
+      throw SnapshotError("snapshot count exceeds remaining bytes");
+    }
+    return n;
   }
   std::vector<uint8_t> Blob() {
     const uint64_t n = U64();

@@ -4,11 +4,9 @@
 
 #include "src/base/costs.h"
 #include "src/base/log.h"
-#include "src/cov/coverage.h"
 #include "src/health/forensics.h"
 #include "src/kernel/system.h"
 #include "src/runtime/compartment_ctx.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
 
@@ -159,17 +157,9 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
   ++t.compartment_calls;
   posture_guard->Disarm();  // posture now managed explicitly below
   t.interrupts_enabled = PostureToEnabled(exp.posture, saved_irq);
-  if (auto* tr = m.trace()) {
-    // The recorder mirrors the call depth itself: reading the trusted stack
-    // here would tick guest cycles and perturb the model it observes.
-    tr->OnCompartmentCall(t.id, caller_comp, callee_id, export_index);
-  }
-  if (auto* hr = m.forensics()) {
-    hr->OnCompartmentCall(t.id, callee_id);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnCompartmentCall(t.id, caller_comp, callee_id, export_index,
-                          t.frame_depth);
+  for (Observer* o : m.observers()) {
+    o->OnCompartmentCall(t.id, caller_comp, callee_id, export_index,
+                         t.frame_depth);
   }
 
   Capability result;
@@ -198,7 +188,7 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
       result = StatusCap(Status::kCompartmentFail);
       if (f.target_compartment == callee_id) {
         t.forced_unwind.erase(callee_id);
-        if (auto* hr = m.forensics()) {
+        if (!m.observers().empty()) {
           // The forced unwind resolves at the evicted compartment's own
           // frame: file one record per evicted thread, not per stack frame
           // peeled on the way here. No architectural fault address exists;
@@ -211,12 +201,7 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
           health::CrashRecord r = BuildCrashRecord(
               t, callee_id, TrapCode::kForcedUnwind, 0, regs);
           r.disposition = health::Disposition::kForcedUnwind;
-          const uint64_t seq = hr->Record(std::move(r));
-          if (auto* tr = m.trace()) {
-            tr->OnCrashRecord(t.id,
-                              static_cast<int>(TrapCode::kForcedUnwind),
-                              callee_id, 0, seq);
-          }
+          FileCrash(t, r);
         }
       } else {
         rethrow_forced = true;
@@ -239,18 +224,11 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
   if (!t.compartment_stack.empty()) {
     t.compartment_stack.pop_back();
   }
-  if (auto* tr = m.trace()) {
-    // Emitted after the return-path tick so the switcher's unwind/zeroing
-    // cost is charged to the callee, matching the call path charging setup
-    // to the caller. Unwind paths still reach here, keeping the recorder's
-    // mirrored stack balanced.
-    tr->OnCompartmentReturn(t.id, callee_id, caller_comp);
-  }
-  if (auto* hr = m.forensics()) {
-    hr->OnCompartmentReturn(t.id);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnCompartmentReturn(t.id);
+  for (Observer* o : m.observers()) {
+    // After the return-path tick so the switcher's unwind/zeroing cost is
+    // charged to the callee, matching the call path charging setup to the
+    // caller. Unwind paths reach here too.
+    o->OnCompartmentReturn(t.id, callee_id, caller_comp);
   }
   t.interrupts_enabled = saved_irq;
   if (saved_irq) {
@@ -279,12 +257,9 @@ Capability Switcher::LibraryCall(GuestThread& t, const ImportBinding& b,
   }
   const LibraryRuntime& lib = boot.libraries[b.target_library];
   const ExportDef& exp = lib.def->exports[b.target_export];
-  if (auto* tr = m.trace()) {
-    tr->OnLibraryCall(t.id, b.target_library, b.target_export);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnLibraryCall(t.id, t.current_compartment, b.target_library,
-                      b.target_export);
+  for (Observer* o : m.observers()) {
+    o->OnLibraryCall(t.id, t.current_compartment, b.target_library,
+                     b.target_export);
   }
 
   // Sentries carry interrupt-posture semantics (§2.1); the matching return
@@ -308,29 +283,23 @@ ErrorRecovery Switcher::DeliverTrap(GuestThread& t, CompartmentCtx& ctx,
   ++trap_count_;
   BootInfo& boot = system_->boot();
   Machine& m = system_->machine();
-  if (auto* tr = m.trace()) {
-    tr->OnTrap(t.id, static_cast<int>(info->cause), ctx.compartment());
+  for (Observer* o : m.observers()) {
+    o->OnTrap(t.id, static_cast<int>(info->cause), ctx.compartment());
   }
   // Snapshot the crash record before any handler runs: the decoded register
   // file and the heap provenance of the faulting address must reflect the
   // fault, not whatever the handler changed. The disposition is filed once
   // the outcome is known.
-  health::ForensicsRecorder* hr = m.forensics();
-  std::optional<health::CrashRecord> crash;
-  if (hr != nullptr) {
+  const bool observed = !m.observers().empty();
+  health::CrashRecord crash;
+  if (observed) {
     crash = BuildCrashRecord(t, ctx.compartment(), info->cause,
                              info->fault_address, info->regs);
   }
   const auto file = [&](health::Disposition disposition) {
-    if (!crash.has_value()) {
-      return;
-    }
-    crash->disposition = disposition;
-    const uint64_t seq = hr->Record(std::move(*crash));
-    crash.reset();
-    if (auto* tr = m.trace()) {
-      tr->OnCrashRecord(t.id, static_cast<int>(info->cause),
-                        ctx.compartment(), info->fault_address, seq);
+    if (observed) {
+      crash.disposition = disposition;
+      FileCrash(t, crash);
     }
   };
   const CompartmentRuntime& rt = boot.compartments[ctx.compartment()];
@@ -388,6 +357,22 @@ health::CrashRecord Switcher::BuildCrashRecord(GuestThread& t, int compartment,
     p.freed_at = site->freed_at;
   }
   return r;
+}
+
+void Switcher::FileCrash(GuestThread& t, health::CrashRecord& record) {
+  record.call_stack = t.compartment_stack;
+  const std::vector<Observer*>& observers = system_->machine().observers();
+  std::optional<uint64_t> seq;
+  for (Observer* o : observers) {
+    if (auto filed = o->FileCrash(record)) {
+      seq = filed;
+    }
+  }
+  if (seq.has_value()) {
+    for (Observer* o : observers) {
+      o->OnCrashFiled(record, *seq);
+    }
+  }
 }
 
 Status Switcher::EphemeralClaim(GuestThread& t, const Capability& obj) {

@@ -82,13 +82,15 @@ class Switcher {
                     const std::vector<Capability>& args, bool saved_irq,
                     void* posture_guard_opaque);
   void ZeroStackRange(GuestThread& thread, Address from, Address to);
-  // Snapshots a crash record (decoded register file, mirrored call stack,
-  // trusted-stack depth, heap provenance of the faulting address) for the
-  // forensics recorder. Pure observation: no guest cycles, no simulated
-  // memory reads.
+  // Snapshots a crash record (decoded register file, trusted-stack depth,
+  // heap provenance of the faulting address) for the machine's observers.
+  // Pure observation: no guest cycles, no simulated memory reads.
   health::CrashRecord BuildCrashRecord(GuestThread& thread, int compartment,
                                        TrapCode cause, Address fault_address,
                                        const RegisterFile& regs);
+  // Takes the thread's compartment stack into `record` and files it with
+  // the observers (Observer::FileCrash, then OnCrashFiled).
+  void FileCrash(GuestThread& thread, health::CrashRecord& record);
 
   System* system_;
   uint64_t trap_count_ = 0;

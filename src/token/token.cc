@@ -1,7 +1,6 @@
 #include "src/token/token.h"
 
 #include "src/base/costs.h"
-#include "src/cov/coverage.h"
 #include "src/kernel/system.h"
 
 namespace cheriot {
@@ -44,11 +43,11 @@ Capability TokenService::Unseal(const Capability& key,
   if (vtype != key.cursor()) {
     return Capability();
   }
-  if (auto* cr = m.cov()) {
+  for (Observer* o : m.observers()) {
     // token_unseal is a library call: it runs in the caller's compartment
     // context, which is exactly the holder the sealing grant names.
     const int thread = system_->current_thread_id();
-    cr->OnSealingUse(
+    o->OnSealingUse(
         thread >= 0 ? system_->threads()[thread].current_compartment : -1,
         key.cursor(), /*unseal=*/true);
   }

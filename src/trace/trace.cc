@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "src/health/forensics.h"
 #include "src/hw/machine.h"
+#include "src/kernel/guest_thread.h"
 #include "src/snap/wire.h"
 
 // Exhaustiveness guard (satellite of the health PR): every switch over
@@ -42,17 +44,14 @@ TraceRecorder::TraceRecorder(TraceOptions options) : options_(options) {
   ring_.resize(options_.ring_capacity);
 }
 
-void TraceRecorder::SetCompartmentNames(std::vector<std::string> names) {
-  compartment_names_ = std::move(names);
-}
-void TraceRecorder::SetLibraryNames(std::vector<std::string> names) {
-  library_names_ = std::move(names);
-}
-void TraceRecorder::SetExportNames(std::vector<std::vector<std::string>> names) {
-  export_names_ = std::move(names);
-}
-void TraceRecorder::SetThreadNames(std::vector<std::string> names) {
-  thread_names_ = std::move(names);
+void TraceRecorder::OnAttach(Machine& machine) {
+  clock_ = &machine.clock();
+  if (options_.profile) {
+    // The profiler rides the clock's std::function hook list; when no
+    // recorder is attached the clock stays on its raw fast path. The hook
+    // only reads now() — it never ticks — so the cycle model is untouched.
+    machine.clock().AddHook([this](Cycles) { ChargeToNow(); });
+  }
 }
 
 void TraceRecorder::EmitAt(Cycles at, EventType type, int16_t thread,
@@ -85,11 +84,8 @@ void TraceRecorder::Emit(EventType type, int16_t thread, int32_t a, int32_t b,
   EmitAt(clock_ ? clock_->now() : latest_at_, type, thread, a, b, c, d);
 }
 
-std::vector<int>& TraceRecorder::StackFor(int thread) {
-  if (static_cast<size_t>(thread) >= thread_stacks_.size()) {
-    thread_stacks_.resize(static_cast<size_t>(thread) + 1);
-  }
-  return thread_stacks_[static_cast<size_t>(thread)];
+const std::vector<int>& TraceRecorder::StackOf(int thread) const {
+  return (*threads_)[static_cast<size_t>(thread)].compartment_stack;
 }
 
 void TraceRecorder::ChargeToNow() {
@@ -118,7 +114,7 @@ void TraceRecorder::ChargeToNow() {
     collapsed_[{kContextIdle}] += d;
     return;
   }
-  const std::vector<int>& stack = StackFor(current_thread_);
+  const std::vector<int>& stack = StackOf(current_thread_);
   if (stack.empty()) {
     auto& p = profile_[kContextKernel];
     p.self += d;
@@ -149,33 +145,33 @@ void TraceRecorder::ChargeToNow() {
   collapsed_[key] += d;
 }
 
-void TraceRecorder::OnBootDone() {
+void TraceRecorder::OnBoot(const BootTables& tables) {
+  compartment_names_ = tables.compartments;
+  export_names_ = tables.exports;
+  library_names_ = tables.libraries;
+  thread_names_ = tables.threads;
+  threads_ = tables.guest_threads;
   ChargeToNow();
   boot_done_ = true;
   Emit(EventType::kBootDone, -1, 0, 0, 0, 0);
 }
 
 void TraceRecorder::OnCompartmentCall(int thread, int caller, int callee,
-                                      int export_index) {
+                                      int export_index, uint32_t depth) {
   ChargeToNow();
-  std::vector<int>& stack = StackFor(thread);
-  stack.push_back(callee);
   Emit(EventType::kCompartmentCall, static_cast<int16_t>(thread), caller,
-       callee, export_index, stack.size());
+       callee, export_index, StackOf(thread).size());
   ++profile_[callee].calls;
 }
 
 void TraceRecorder::OnCompartmentReturn(int thread, int callee, int caller) {
   ChargeToNow();
-  std::vector<int>& stack = StackFor(thread);
-  if (!stack.empty()) {
-    stack.pop_back();
-  }
   Emit(EventType::kCompartmentReturn, static_cast<int16_t>(thread), callee,
-       caller, 0, stack.size());
+       caller, 0, StackOf(thread).size());
 }
 
-void TraceRecorder::OnLibraryCall(int thread, int library, int export_index) {
+void TraceRecorder::OnLibraryCall(int thread, int caller, int library,
+                                  int export_index) {
   ChargeToNow();
   Emit(EventType::kLibraryCall, static_cast<int16_t>(thread), library,
        export_index, 0, 0);
@@ -195,17 +191,26 @@ void TraceRecorder::OnContextSwitch(int from_thread, int to_thread) {
 }
 
 void TraceRecorder::OnThreadWake(int thread) {
+  if (!boot_done_) {
+    return;
+  }
   ChargeToNow();
   Emit(EventType::kThreadWake, static_cast<int16_t>(thread), thread, 0, 0, 0);
 }
 
 void TraceRecorder::OnThreadBlock(int thread, Address futex_addr) {
+  if (!boot_done_) {
+    return;
+  }
   ChargeToNow();
   Emit(EventType::kThreadBlock, static_cast<int16_t>(thread), thread, 0, 0,
        futex_addr);
 }
 
 void TraceRecorder::OnThreadSleep(int thread, Cycles wake_at) {
+  if (!boot_done_) {
+    return;
+  }
   ChargeToNow();
   Emit(EventType::kThreadSleep, static_cast<int16_t>(thread), thread, 0, 0,
        wake_at);
@@ -229,8 +234,8 @@ void TraceRecorder::OnHeapFree(int thread, int compartment, uint32_t quota,
        static_cast<int32_t>(quota), bytes, heap_live_bytes_);
 }
 
-void TraceRecorder::OnQuotaExhausted(int thread, int compartment,
-                                     uint32_t quota, Word bytes) {
+void TraceRecorder::OnQuotaDenied(int thread, int compartment,
+                                  int attributed, uint32_t quota, Word bytes) {
   ChargeToNow();
   Emit(EventType::kQuotaExhausted, static_cast<int16_t>(thread), compartment,
        static_cast<int32_t>(quota), bytes, 0);
@@ -293,11 +298,12 @@ void TraceRecorder::OnFrameDropAt(Cycles at, uint8_t reason, size_t bytes,
          static_cast<int64_t>(bytes), flow_seq);
 }
 
-void TraceRecorder::OnCrashRecord(int thread, int cause, int compartment,
-                                  Address fault_address, uint64_t seq) {
+void TraceRecorder::OnCrashFiled(const health::CrashRecord& record,
+                                 uint64_t seq) {
   ChargeToNow();
-  Emit(EventType::kCrashRecord, static_cast<int16_t>(thread), cause,
-       compartment, static_cast<int64_t>(fault_address), seq);
+  Emit(EventType::kCrashRecord, record.thread,
+       static_cast<int32_t>(record.cause), record.compartment,
+       static_cast<int64_t>(record.fault_address), seq);
 }
 
 void TraceRecorder::OnIdleFastForward(Cycles span) {
@@ -413,13 +419,6 @@ void TraceRecorder::SerializeState(snap::Writer& w) const {
   w.U64(settled_at_);
   w.U64(boot_cycles_);
   w.U64(idle_cycles_);
-  w.U32(static_cast<uint32_t>(thread_stacks_.size()));
-  for (const auto& stack : thread_stacks_) {
-    w.U32(static_cast<uint32_t>(stack.size()));
-    for (int c : stack) {
-      w.I32(c);
-    }
-  }
   w.U32(static_cast<uint32_t>(profile_.size()));
   for (const auto& [id, p] : profile_) {
     w.I32(id);
@@ -446,17 +445,6 @@ void TraceRecorder::SerializeState(snap::Writer& w) const {
   w.U64(nic_rx_frames_);
   w.U64(nic_rx_bytes_);
   w.U64(frames_dropped_);
-}
-
-void Attach(Machine& machine, TraceRecorder* recorder) {
-  recorder->SetClock(&machine.clock());
-  machine.set_trace(recorder);
-  if (recorder->options().profile) {
-    // The profiler rides the clock's std::function hook list; when no
-    // recorder is attached the clock stays on its raw fast path. The hook
-    // only reads now() — it never ticks — so the cycle model is untouched.
-    machine.clock().AddHook([recorder](Cycles) { recorder->ChargeToNow(); });
-  }
 }
 
 }  // namespace cheriot::trace

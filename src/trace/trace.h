@@ -12,9 +12,9 @@
 // variants of tests/invariance_test.cpp): the recorder only OBSERVES the
 // cycle model. It never ticks the clock, never touches simulated memory, and
 // never consults host state, so enabling tracing cannot move a single guest
-// cycle. The zero-cost-when-off rule is structural: every emit site is a
-// raw-pointer null check, and the profiler's clock hook is only registered
-// when a recorder is attached.
+// cycle. The recorder is an Observer (src/hw/observer.h): every emit site is
+// the machine's observer loop, and the profiler's clock hook is only
+// registered when a recorder is attached.
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
@@ -25,10 +25,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/types.h"
-
-namespace cheriot {
-class Machine;
-}  // namespace cheriot
+#include "src/hw/observer.h"
 
 namespace cheriot::snap {
 class Writer;
@@ -96,7 +93,7 @@ struct TraceOptions {
   // once the ring is full, deterministically.
   size_t ring_capacity = 1 << 16;
   // Cycle-attribution profiler (per-compartment self/total + collapsed
-  // stacks). Requires a clock, i.e. Attach().
+  // stacks). Requires a clock, i.e. Machine::AddObserver().
   bool profile = true;
 };
 
@@ -107,7 +104,7 @@ inline constexpr int kContextBoot = -2;
 inline constexpr int kContextIdle = -1;
 inline constexpr int kContextKernel = -3;
 
-class TraceRecorder {
+class TraceRecorder : public Observer {
  public:
   struct CompartmentProfile {
     Cycles self = 0;    // charged while top of the running thread's stack
@@ -120,69 +117,70 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  // --- Wiring (Attach() / System::Boot) ------------------------------------
-  void SetClock(const CycleClock* clock) { clock_ = clock; }
   void SetLabel(std::string label) { label_ = std::move(label); }
   void SetBoardIndex(int index) { board_index_ = index; }
-  // Name tables, published by System::Boot from the loaded image so events
-  // stay integer-only and names are resolved at export time.
-  void SetCompartmentNames(std::vector<std::string> names);
-  void SetLibraryNames(std::vector<std::string> names);
-  void SetExportNames(std::vector<std::vector<std::string>> names);
-  void SetThreadNames(std::vector<std::string> names);
 
-  // --- Choke-point emitters -------------------------------------------------
+  // --- Observer hooks -------------------------------------------------------
+  // Takes the clock and registers the profiler's clock hook.
+  void OnAttach(Machine& machine) override;
+  // Takes the name tables and the guest threads, then closes the <boot>
+  // attribution bucket with a kBootDone event.
+  void OnBoot(const BootTables& tables) override;
   // Every emitter first settles the profiler (charging the cycles elapsed
   // since the last settlement to the *outgoing* context), then records the
-  // event, then updates the mirrored call stacks.
-  void OnBootDone();
-  void OnCompartmentCall(int thread, int caller, int callee, int export_index);
-  void OnCompartmentReturn(int thread, int callee, int caller);
-  void OnLibraryCall(int thread, int library, int export_index);
-  void OnTrap(int thread, int code, int compartment);
-  void OnContextSwitch(int from_thread, int to_thread);
-  void OnThreadWake(int thread);
-  void OnThreadBlock(int thread, Address futex_addr);
-  void OnThreadSleep(int thread, Cycles wake_at);
-  void OnHeapAlloc(int thread, int compartment, uint32_t quota, Word bytes);
-  void OnHeapFree(int thread, int compartment, uint32_t quota, Word bytes);
-  void OnQuotaExhausted(int thread, int compartment, uint32_t quota,
-                        Word bytes);
-  void OnSweepBegin(uint32_t epoch);
-  void OnSweepEnd(uint32_t epoch, uint64_t granules);
-  // NIC events optionally carry the frame's host-side flow id (PR 9) in
-  // spare operands so Perfetto exports can bind tx->rx arrows. Defaulted so
-  // pre-flow call sites stay valid; the id never exists in guest memory.
-  void OnNicTx(size_t bytes, int32_t flow_origin = kNoFlowOrigin,
-               uint32_t flow_seq = 0);
-  void OnNicRx(size_t bytes, int32_t flow_origin = kNoFlowOrigin,
-               uint32_t flow_seq = 0);
-  // Fabric events carry an explicit timestamp: the fabric has no clock of
-  // its own and switches frames at epoch barriers using their TX stamps.
-  void OnFabricFrame(Cycles at, int src_port, int dst_port, size_t bytes,
-                     int32_t flow_origin = kNoFlowOrigin,
-                     uint32_t flow_seq = 0);
+  // event. Call depths and profiler stacks are read from the threads'
+  // native compartment_stack.
+  void OnCompartmentCall(int thread, int caller, int callee, int export_index,
+                         uint32_t depth) override;
+  void OnCompartmentReturn(int thread, int callee, int caller) override;
+  void OnLibraryCall(int thread, int caller, int library,
+                     int export_index) override;
+  void OnTrap(int thread, int code, int compartment) override;
+  void OnContextSwitch(int from_thread, int to_thread) override;
+  // Thread lifecycle events are recorded from kBootDone on: readying every
+  // thread is part of <boot>.
+  void OnThreadWake(int thread) override;
+  void OnThreadBlock(int thread, Address futex_addr) override;
+  void OnThreadSleep(int thread, Cycles wake_at) override;
+  void OnHeapAlloc(int thread, int compartment, uint32_t quota,
+                   Word bytes) override;
+  void OnHeapFree(int thread, int compartment, uint32_t quota,
+                  Word bytes) override;
+  // Attributed to the executing compartment (the alloc service inside
+  // heap_allocate), not to the one that asked.
+  void OnQuotaDenied(int thread, int compartment, int attributed,
+                     uint32_t quota, Word bytes) override;
+  void OnSweepBegin(uint32_t epoch) override;
+  void OnSweepEnd(uint32_t epoch, uint64_t granules) override;
+  // NIC events carry the frame's host-side flow id in spare operands so
+  // Perfetto exports can bind tx->rx arrows; kNoFlowOrigin when it has none.
+  void OnNicTx(size_t bytes, int32_t flow_origin, uint32_t flow_seq) override;
+  void OnNicRx(size_t bytes, int32_t flow_origin, uint32_t flow_seq) override;
   // Frame dropped by fault injection before reaching its destination:
   // reason 0 = arbiter kNicLoss at a board NIC, 1 = drop_every_nth_tcp at
   // the gateway. OnFrameDrop stamps the attached clock; OnFrameDropAt is for
   // clockless recorders (the fleet's fabric recorder).
   void OnFrameDrop(uint8_t reason, size_t bytes, int32_t flow_origin,
-                   uint32_t flow_seq);
-  void OnFrameDropAt(Cycles at, uint8_t reason, size_t bytes,
-                     int32_t flow_origin, uint32_t flow_seq);
-  // Crash record marker, emitted by the switcher when a forensics recorder
-  // (src/health) files a crash record while a trace is also attached. `seq`
-  // is the forensics ring sequence number so the two streams can be joined.
-  void OnCrashRecord(int thread, int cause, int compartment,
-                     Address fault_address, uint64_t seq);
+                   uint32_t flow_seq) override;
+  // Crash record marker: a forensics recorder (src/health) filed `record`
+  // as sequence number `seq`, so the two streams can be joined.
+  void OnCrashFiled(const health::CrashRecord& record, uint64_t seq) override;
   // Idle fast-forward span (kernel jumped the clock `span` cycles to the
   // next event with no runnable thread). The span is charged to the idle
   // context by the ordinary settlement; the event only makes the jump
   // visible in exported traces.
-  void OnIdleFastForward(Cycles span);
+  void OnIdleFastForward(Cycles span) override;
+
+  // Fabric events carry an explicit timestamp: the fabric has no clock of
+  // its own and switches frames at epoch barriers using their TX stamps.
+  void OnFabricFrame(Cycles at, int src_port, int dst_port, size_t bytes,
+                     int32_t flow_origin = kNoFlowOrigin,
+                     uint32_t flow_seq = 0);
+  void OnFrameDropAt(Cycles at, uint8_t reason, size_t bytes,
+                     int32_t flow_origin, uint32_t flow_seq);
 
   // Profiler clock hook: charges clock->now() - last settlement to the
-  // current context. Registered by Attach(); also safe to call manually.
+  // current context. Registered by OnAttach(); also safe to call manually.
   void ChargeToNow();
 
   // --- Read side (exporters, tests) ----------------------------------------
@@ -245,7 +243,8 @@ class TraceRecorder {
             uint64_t d);
   void EmitAt(Cycles at, EventType type, int16_t thread, int32_t a, int32_t b,
               int64_t c, uint64_t d);
-  std::vector<int>& StackFor(int thread);
+  // The native compartment stack of a guest thread (outermost first).
+  const std::vector<int>& StackOf(int thread) const;
 
   TraceOptions options_;
   const CycleClock* clock_ = nullptr;
@@ -261,12 +260,13 @@ class TraceRecorder {
   uint64_t by_type_[kEventTypeCount] = {};
   Cycles latest_at_ = 0;
 
-  // Profiler state: mirrored compartment call stacks (the trusted stack
-  // lives in simulated memory; reading it would tick the clock).
+  // Profiler state. Stacks are the threads' native compartment_stack (the
+  // trusted stack lives in simulated memory; reading it would tick the
+  // clock).
+  const std::vector<GuestThread>* threads_ = nullptr;
   bool boot_done_ = false;
   int current_thread_ = -1;
   Cycles settled_at_ = 0;
-  std::vector<std::vector<int>> thread_stacks_;
   std::map<int, CompartmentProfile> profile_;
   std::map<std::vector<int>, Cycles> collapsed_;
   Cycles boot_cycles_ = 0;
@@ -290,13 +290,6 @@ class TraceRecorder {
   std::vector<std::vector<std::string>> export_names_;
   std::vector<std::string> thread_names_;
 };
-
-// Attaches a recorder to a machine: publishes it to the devices (so the
-// switcher, kernel, allocator, revoker and NIC plumbing see it through
-// Machine::trace()) and registers the profiler's clock hook. Must be called
-// before System::Boot() so boot cycles are attributed and the scheduler is
-// wired; the recorder must outlive the machine's last tick.
-void Attach(Machine& machine, TraceRecorder* recorder);
 
 }  // namespace cheriot::trace
 

@@ -420,6 +420,115 @@ TEST(SnapshotTest, RestoreRejectsGarbageAndTruncation) {
                snap::SnapshotError);
 }
 
+// An idle board's NIC holds empty frames (the rx latch and the tx buffer);
+// an injected empty rx frame adds one more. Restoring them must not hand
+// memcpy the null data pointer of an empty vector.
+TEST(SnapshotTest, EmptyNicFramesRoundTrip) {
+  Board a(BuildImage("quickstart"), {});
+  a.Boot();
+  a.machine().ethernet().HostInject({});
+  std::vector<uint8_t> blob;
+  a.Snapshot(blob);
+  ASSERT_TRUE(snap::Container::Parse(blob).flags & snap::kColdRestorable);
+
+  auto b = Board::Restore(blob, BuildImage("quickstart"));
+  EXPECT_EQ(b->machine().ethernet().rx_pending(), 1u);
+  std::vector<uint8_t> again;
+  b->Snapshot(again);
+  EXPECT_EQ(again, blob);
+}
+
+// Overwrites the u32 at `offset` of section `id` with 0xFFFFFFFF.
+std::vector<uint8_t> WithHugeCount(const std::vector<uint8_t>& blob,
+                                   uint32_t id, size_t offset) {
+  snap::Container c = snap::Container::Parse(blob);
+  bool patched = false;
+  for (snap::Section& s : c.sections) {
+    if (s.id == id) {
+      for (size_t i = 0; i < 4; ++i) {
+        s.body.at(offset + i) = 0xFF;
+      }
+      patched = true;
+    }
+  }
+  EXPECT_TRUE(patched) << snap::SectionName(id);
+  return c.Assemble();
+}
+
+uint32_t U32At(const std::vector<uint8_t>& blob, uint32_t id, size_t offset) {
+  const snap::Container c = snap::Container::Parse(blob);
+  const std::vector<uint8_t>& body = c.Require(id).body;
+  snap::Reader r(body.data() + offset, body.size() - offset);
+  return r.U32();
+}
+
+// Every length field that sizes an allocation on restore is checked
+// against the bytes left: a corrupt 0xFFFFFFFF throws SnapshotError instead
+// of asking for gigabytes.
+TEST(SnapshotTest, HugeLengthFieldsAreRejectedBeforeAllocating) {
+  Board a(BuildImage("quickstart"), {});
+  a.Boot();
+  std::vector<uint8_t> blob;
+  a.Snapshot(blob);
+  ASSERT_TRUE(snap::Container::Parse(blob).flags & snap::kColdRestorable);
+
+  // DEVS is uart, leds, timer, ethernet, entropy in that order.
+  Machine& m = a.machine();
+  const auto size_of = [](const auto& device) {
+    snap::Writer w;
+    device.SerializeState(w);
+    return w.size();
+  };
+  const size_t leds_at = size_of(m.uart());
+  const size_t eth_at = leds_at + size_of(m.leds()) + size_of(m.timer());
+  ASSERT_EQ(m.ethernet().rx_pending(), 0u);
+  // KERN: three i32 and four bools, two u64, the thread count, then thread
+  // 0's fixed-width fields (47 bytes) before its compartment-stack depth.
+  const size_t kern_stack_at = 12 + 4 + 16 + 4 + 47;
+  // SCHD: skip the ready queues and futex wait sets to the multiwaiters.
+  const snap::Container parsed = snap::Container::Parse(blob);
+  const std::vector<uint8_t>& sched = parsed.Require(snap::kSecSched).body;
+  snap::Reader r(sched);
+  for (int q = 0; q < Scheduler::kPriorities; ++q) {
+    for (uint32_t n = r.U32(); n > 0; --n) {
+      r.U32();
+    }
+  }
+  for (uint32_t sets = r.U32(); sets > 0; --sets) {
+    r.U32();
+    for (uint32_t n = r.U32(); n > 0; --n) {
+      r.U32();
+    }
+  }
+  const size_t multiwaiters_at = sched.size() - r.remaining();
+
+  struct Field {
+    uint32_t section;
+    size_t offset;
+    uint32_t expected;  // the value the unpatched blob holds there
+    const char* what;
+  };
+  const Field fields[] = {
+      {snap::kSecBootInfo, 0,
+       static_cast<uint32_t>(a.system().boot().compartments.size()),
+       "compartment count"},
+      {snap::kSecDevices, leds_at + 4, 0, "LED event count"},
+      {snap::kSecDevices, eth_at + 6 + 4, 0, "latched rx frame length"},
+      {snap::kSecKernel, kern_stack_at,
+       static_cast<uint32_t>(
+           a.system().threads().front().compartment_stack.size()),
+       "compartment stack depth"},
+      {snap::kSecSched, multiwaiters_at, 0, "multiwaiter count"},
+  };
+  for (const Field& f : fields) {
+    ASSERT_EQ(U32At(blob, f.section, f.offset), f.expected) << f.what;
+    EXPECT_THROW(Board::Restore(WithHugeCount(blob, f.section, f.offset),
+                                BuildImage("quickstart")),
+                 snap::SnapshotError)
+        << f.what;
+  }
+}
+
 TEST(SnapshotTest, BoardRestoreRejectsFleetSnapshots) {
   auto fleet = MakeFleet(2, 1);
   fleet->Run(cost::kCoreHz / 8);

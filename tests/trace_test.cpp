@@ -123,7 +123,7 @@ TEST(TraceTest, AttributedCyclesEqualCycleCounterOnEveryShippedImage) {
 TEST(TraceTest, ProfilerChargesNestedCallsToCalleeSelfAndCallerTotal) {
   Machine machine;
   trace::TraceRecorder rec;
-  trace::Attach(machine, &rec);
+  machine.AddObserver(&rec);
 
   ImageBuilder b("trace-profile");
   b.Compartment("leaf").Globals(64).Export(
