@@ -19,7 +19,7 @@
 #include "bench/provenance.h"
 #include "src/flow/flow.h"
 #include "src/sim/fleet.h"
-#include "tools/lint_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -42,7 +42,7 @@ struct Result {
   std::vector<sim::Board::Fingerprint> fingerprints;
 };
 
-Result RunOnce(const tools::LintTarget& target, Mode mode) {
+Result RunOnce(const tools::Target& target, Mode mode) {
   sim::FleetOptions fopts;
   fopts.flow = mode != Mode::kOff;
   sim::Fleet fleet(fopts);
@@ -76,7 +76,7 @@ Result RunOnce(const tools::LintTarget& target, Mode mode) {
   return r;
 }
 
-Result Best(const tools::LintTarget& target, Mode mode, int runs) {
+Result Best(const tools::Target& target, Mode mode, int runs) {
   Result best = RunOnce(target, mode);
   for (int i = 1; i < runs; ++i) {
     Result r = RunOnce(target, mode);
@@ -110,9 +110,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const tools::LintTarget* target = tools::FindLintTarget("fleet-node");
+  const tools::Target* target = tools::FindTarget("fleet-node");
   if (!target) {
-    std::fprintf(stderr, "lint target 'fleet-node' missing\n");
+    std::fprintf(stderr, "registry target 'fleet-node' missing\n");
     return 1;
   }
 

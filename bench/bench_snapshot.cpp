@@ -17,7 +17,7 @@
 
 #include "bench/provenance.h"
 #include "src/sim/board.h"
-#include "tools/lint_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const tools::LintTarget* target = tools::FindLintTarget("fleet-node");
+  const tools::Target* target = tools::FindTarget("fleet-node");
   if (!target) {
-    std::fprintf(stderr, "lint target 'fleet-node' missing\n");
+    std::fprintf(stderr, "registry target 'fleet-node' missing\n");
     return 1;
   }
 

@@ -19,7 +19,7 @@
 #include "src/sim/board.h"
 #include "src/trace/export.h"
 #include "src/trace/trace.h"
-#include "tools/lint_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -39,7 +39,7 @@ struct Result {
   sim::Board::Fingerprint fingerprint;
 };
 
-Result RunOnce(const tools::LintTarget& target, Mode mode) {
+Result RunOnce(const tools::Target& target, Mode mode) {
   sim::Board board(target.build(), sim::BoardOptions{});
   trace::TraceRecorder* rec = nullptr;
   if (mode != Mode::kOff) {
@@ -63,7 +63,7 @@ Result RunOnce(const tools::LintTarget& target, Mode mode) {
   return r;
 }
 
-Result Best(const tools::LintTarget& target, Mode mode, int runs) {
+Result Best(const tools::Target& target, Mode mode, int runs) {
   Result best = RunOnce(target, mode);
   for (int i = 1; i < runs; ++i) {
     Result r = RunOnce(target, mode);
@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const tools::LintTarget* target = tools::FindLintTarget("fleet-node");
+  const tools::Target* target = tools::FindTarget("fleet-node");
   if (!target) {
-    std::fprintf(stderr, "lint target 'fleet-node' missing\n");
+    std::fprintf(stderr, "registry target 'fleet-node' missing\n");
     return 1;
   }
 

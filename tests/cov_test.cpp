@@ -21,8 +21,7 @@
 #include "src/rtos.h"
 #include "src/sim/board.h"
 #include "src/sim/fleet.h"
-#include "tools/cov_targets.h"
-#include "tools/lint_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -37,14 +36,14 @@ constexpr Cycles kHorizon = 8'000'000;
 constexpr int kBoards = 2;
 
 FirmwareImage BuildImage(const std::string& name) {
-  const tools::LintTarget* t = tools::FindCovTarget(name);
+  const tools::Target* t = tools::FindTarget(name);
   EXPECT_NE(t, nullptr) << name;
   return t->build();
 }
 
 // Boot on a throwaway machine (loader only, no guest instruction runs) so
 // the TCB service compartments the image's imports resolve against exist —
-// same construction as tools/cheriot_cov.cc.
+// same construction as `cheriot cov --report` (tools/record.cc).
 json::Value AuditOf(const std::string& name) {
   Machine machine;
   System sys(machine, BuildImage(name));
@@ -52,7 +51,7 @@ json::Value AuditOf(const std::string& name) {
   return audit::BuildReport(sys.boot());
 }
 
-// Same drive cycle tools/cheriot_cov.cc uses: N boards of one image, a
+// Same drive cycle `cheriot cov` uses: N boards of one image, a
 // control publish partway through so network-facing images exercise their
 // subscription path.
 std::unique_ptr<Fleet> MakeCovFleet(const std::string& name, int host_threads,
@@ -90,7 +89,10 @@ std::vector<Finding> Cl010Findings(const std::string& image_name,
 // --- Zero-guest-cycle contract, every shipped image ------------------------
 
 TEST(CovTest, CoverageOnVsOffFingerprintEqualityOnEveryShippedImage) {
-  for (const auto& target : tools::LintTargets()) {
+  for (const auto& target : tools::Targets()) {
+    if (target.seeded) {
+      continue;
+    }
     Board plain(target.build(), {});
     Board covered(target.build(), {});
     cov::CovRecorder* rec = covered.EnableCoverage();

@@ -25,8 +25,7 @@
 #include "src/rtos.h"
 #include "src/sim/fleet.h"
 #include "src/trace/export.h"
-#include "tools/lint_targets.h"
-#include "tools/mc_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -43,10 +42,10 @@ std::string Fnv(const std::string& bytes) {
 }
 
 // 4 fleet-node boards on 2 host workers with every recorder on, driven the
-// way tools/cheriot_cov drives a fleet: a control publish partway through so
+// way `cheriot cov` drives a fleet: a control publish partway through so
 // the boards' subscription path and the gateway fan-out both carry flows.
 std::unique_ptr<sim::Fleet> RecordedFleet() {
-  const tools::LintTarget* t = tools::FindLintTarget("fleet-node");
+  const tools::Target* t = tools::FindTarget("fleet-node");
   EXPECT_NE(t, nullptr);
   sim::FleetOptions o;
   o.host_threads = 2;
@@ -105,7 +104,7 @@ TEST(ExportDigest, RecordedFleetExportsAreBytePinned) {
 }
 
 TEST(ExportDigest, McReportIsBytePinned) {
-  const tools::LintTarget* t = tools::FindMcTarget("seeded-lost-wake");
+  const tools::Target* t = tools::FindTarget("seeded-lost-wake");
   ASSERT_NE(t, nullptr);
   mc::McOptions o;
   o.max_schedules = 64;
@@ -116,8 +115,7 @@ TEST(ExportDigest, McReportIsBytePinned) {
 }
 
 TEST(ExportDigest, LintFindingsAreBytePinned) {
-  const tools::LintTarget* t =
-      tools::FindLintTarget("http-firmware-backdoored");
+  const tools::Target* t = tools::FindTarget("http-firmware-backdoored");
   ASSERT_NE(t, nullptr);
   Machine machine;
   System sys(machine, t->build());

@@ -23,7 +23,7 @@
 #include "src/sim/board.h"
 #include "src/sim/fleet.h"
 #include "src/sync/sync.h"
-#include "tools/lint_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -37,7 +37,7 @@ using health::ForensicsRecorder;
 using health::HeapProvenance;
 using sim::Board;
 using sim::Fleet;
-using tools::LintTargets;
+using tools::Targets;
 
 constexpr Cycles kRunCycles = 2'000'000;
 
@@ -299,7 +299,10 @@ TEST(HealthTest, SeededRevokerBacklogTripsExactlyRevokerBacklog) {
 }
 
 TEST(HealthTest, NoDetectorFiresOnAnyShippedImage) {
-  for (const auto& target : LintTargets()) {
+  for (const auto& target : Targets()) {
+    if (target.seeded) {
+      continue;
+    }
     HealthRun run = RunWithForensics(target.build());
     const BoardHealth h = AssessBoard(*run.board);
     EXPECT_TRUE(h.healthy) << target.name;
@@ -310,7 +313,10 @@ TEST(HealthTest, NoDetectorFiresOnAnyShippedImage) {
 // --- 3. Invariance --------------------------------------------------------
 
 TEST(HealthTest, ForensicsMovesNoGuestCycleOnAnyShippedImage) {
-  for (const auto& target : LintTargets()) {
+  for (const auto& target : Targets()) {
+    if (target.seeded) {
+      continue;
+    }
     HealthRun on = RunWithForensics(target.build(), 500'000);
     Board off(target.build(), sim::BoardOptions{});
     off.Boot();
@@ -368,7 +374,7 @@ TEST(HealthTest, CrashDumpTextNamesFaultAndProvenance) {
 }
 
 std::string FleetReport(int host_threads) {
-  const tools::LintTarget* t = tools::FindLintTarget("fleet-node");
+  const tools::Target* t = tools::FindTarget("fleet-node");
   EXPECT_NE(t, nullptr);
   sim::FleetOptions opts;
   opts.host_threads = host_threads;

@@ -23,8 +23,7 @@
 #include "src/snap/diff.h"
 #include "src/snap/snapshot.h"
 #include "src/sync/sync.h"
-#include "tools/lint_targets.h"
-#include "tools/mc_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -32,10 +31,10 @@ namespace {
 using sim::Board;
 using sim::Fleet;
 using sim::FleetOptions;
-using tools::FindMcTarget;
+using tools::FindTarget;
 
 FirmwareImage BuildImage(const std::string& name) {
-  const tools::LintTarget* t = FindMcTarget(name);
+  const tools::Target* t = FindTarget(name);
   EXPECT_NE(t, nullptr) << name;
   return t->build();
 }
@@ -141,7 +140,7 @@ TEST(McTest, FutexWakeOrderSurvivesSnapshotRestore) {
 // --- The explorer finds every seeded bug, minimally -----------------------
 
 TEST(McTest, FindsSeededLostWakeDeadlockWithOneForcedChoice) {
-  const tools::LintTarget* t = FindMcTarget("seeded-lost-wake");
+  const tools::Target* t = FindTarget("seeded-lost-wake");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   ASSERT_FALSE(report.clean());
@@ -153,7 +152,7 @@ TEST(McTest, FindsSeededLostWakeDeadlockWithOneForcedChoice) {
 }
 
 TEST(McTest, FindsSeededWakeOrderDivergenceWithOneForcedChoice) {
-  const tools::LintTarget* t = FindMcTarget("seeded-wake-order");
+  const tools::Target* t = FindTarget("seeded-wake-order");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   ASSERT_FALSE(report.clean());
@@ -169,7 +168,7 @@ TEST(McTest, FindsSeededWakeOrderDivergenceWithOneForcedChoice) {
 }
 
 TEST(McTest, FindsSeededQuotaRaceTrapWithOneForcedChoice) {
-  const tools::LintTarget* t = FindMcTarget("seeded-quota-race");
+  const tools::Target* t = FindTarget("seeded-quota-race");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   ASSERT_FALSE(report.clean());
@@ -189,7 +188,7 @@ TEST(McTest, FindsSeededQuotaRaceTrapWithOneForcedChoice) {
 // --- Shipped images stay clean; POR actually prunes -----------------------
 
 TEST(McTest, ShippedFleetNodeImageIsCleanWithMajorityPruning) {
-  const tools::LintTarget* t = FindMcTarget("fleet-node");
+  const tools::Target* t = FindTarget("fleet-node");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   EXPECT_TRUE(report.clean());
@@ -200,7 +199,7 @@ TEST(McTest, ShippedFleetNodeImageIsCleanWithMajorityPruning) {
 }
 
 TEST(McTest, ReportJsonIsByteStableAcrossRuns) {
-  const tools::LintTarget* t = FindMcTarget("seeded-lost-wake");
+  const tools::Target* t = FindTarget("seeded-lost-wake");
   ASSERT_NE(t, nullptr);
   const std::string a =
       mc::Explore(t->name, t->build, FastOptions()).ToJson().Dump(2);
@@ -240,7 +239,7 @@ TEST(McTest, DiffBlobsNamesFirstDivergentSectionAndOffset) {
   EXPECT_EQ(d.divergent[0].name, snap::SectionName(victim->id));
   EXPECT_EQ(d.divergent[0].first_diff_offset, flip);
   // The summary carries the fourcc name and the offset (the human-facing
-  // line `cheriot_snap diff` prints).
+  // line `cheriot snap diff` prints).
   EXPECT_NE(d.summary.find(snap::SectionName(victim->id)), std::string::npos)
       << d.summary;
   EXPECT_NE(d.summary.find(std::to_string(flip)), std::string::npos)

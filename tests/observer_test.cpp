@@ -23,7 +23,7 @@
 #include "src/sim/fleet.h"
 #include "src/sync/sync.h"
 #include "src/trace/export.h"
-#include "tools/lint_targets.h"
+#include "tools/targets.h"
 
 namespace cheriot {
 namespace {
@@ -93,7 +93,7 @@ struct Outcome {
 
 // N boards of one image with every recorder on (or none), driven the way
 // the recorder CLIs drive a fleet: a control publish partway through.
-Outcome RunFleet(const tools::LintTarget& target, int host_threads,
+Outcome RunFleet(const tools::Target& target, int host_threads,
                  bool recorders, bool counted) {
   sim::FleetOptions o;
   o.host_threads = host_threads;
@@ -135,7 +135,10 @@ Outcome RunFleet(const tools::LintTarget& target, int host_threads,
 }
 
 TEST(ObserverTest, CountingObserverIsInvisibleOnEveryShippedImage) {
-  for (const auto& target : tools::LintTargets()) {
+  for (const auto& target : tools::Targets()) {
+    if (target.seeded) {
+      continue;
+    }
     const Outcome plain = RunFleet(target, 2, /*recorders=*/false, false);
     const Outcome recorded = RunFleet(target, 2, /*recorders=*/true, false);
     const Outcome counted = RunFleet(target, 2, /*recorders=*/true, true);
@@ -162,7 +165,10 @@ TEST(ObserverTest, CountingObserverIsInvisibleOnEveryShippedImage) {
 }
 
 TEST(ObserverTest, HookCountsAreIdenticalAtOneTwoAndFourWorkers) {
-  for (const auto& target : tools::LintTargets()) {
+  for (const auto& target : tools::Targets()) {
+    if (target.seeded) {
+      continue;
+    }
     const Outcome one = RunFleet(target, 1, /*recorders=*/true, true);
     EXPECT_EQ(RunFleet(target, 2, true, true).counts, one.counts)
         << target.name;

@@ -1,7 +1,7 @@
-// cheriot_lint: pre-boot static analysis over firmware audit reports.
+// cheriot lint: pre-boot static analysis over firmware audit reports.
 //
-// Loads one or more firmware images (or a report JSON from disk), builds the
-// authority graph and runs the CL001..CL008 lint passes. Findings can be
+// Loads one or more registry images (or a report JSON from disk), builds the
+// authority graph and runs the CL001..CL010 lint passes. Findings can be
 // diffed against checked-in baselines so CI fails only on regressions:
 // error-level findings always fail; warnings/info not present in the
 // baseline are printed as NEW but do not fail the build.
@@ -10,50 +10,40 @@
 //             1 error-level findings present,
 //             2 usage or load failure.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/lint.h"
-#include "src/audit/report.h"
 #include "src/json/json.h"
-#include "src/kernel/system.h"
-#include "src/rtos.h"
-#include "tools/cov_targets.h"
-#include "tools/lint_targets.h"
+#include "tools/cli.h"
 
-using namespace cheriot;
-using cheriot::tools::FindLintTarget;
-using cheriot::tools::LintTargets;
-
+namespace cheriot::tools {
 namespace {
 
-struct CliOptions {
-  std::vector<std::string> targets;
+constexpr const char kTool[] = "cheriot lint";
+
+struct LintArgs {
+  Selection selection;
   std::vector<std::string> report_files;
-  bool all = false;
-  bool list = false;
   bool json_format = false;
   bool fix_suggestions = false;
   bool update_baselines = false;
   std::string baseline_file;  // single-image baseline
   std::string baseline_dir;   // per-image baselines: DIR/<name>.json
-  std::string coverage_file;  // CL010 evidence: a cheriot_cov export
+  std::string coverage_file;  // CL010 evidence: a `cheriot cov` export
   analysis::LintOptions lint;
 };
 
 void Usage(std::FILE* out) {
   std::fprintf(out,
-               "usage: cheriot_lint [--all | --target=NAME[,NAME...] |"
+               "usage: cheriot lint [--all | --target=NAME[,NAME...] |"
                " --report=FILE]\n"
                "                    [options]\n"
                "\n"
-               "  --list-targets        list the built-in firmware images\n"
-               "  --all                 lint every built-in image\n"
-               "  --target=NAME         lint one built-in image (repeatable)\n"
+               "  --list-targets        list the firmware images\n"
+               "  --all                 lint every shipped image\n"
+               "  --target=NAME         lint one image (repeatable)\n"
                "  --report=FILE         lint an audit-report JSON from disk\n"
                "  --format=text|json    output format (default text)\n"
                "  --restrict-mmio=A,B   devices only direct importers may\n"
@@ -64,33 +54,10 @@ void Usage(std::FILE* out) {
                "                        checking (requires --baseline-dir)\n"
                "  --fix-suggestions     print the exact ImageBuilder call to\n"
                "                        delete for fixable findings\n"
-               "  --coverage=FILE       cheriot_cov export used as dynamic\n"
+               "  --coverage=FILE       `cheriot cov` export used as dynamic\n"
                "                        evidence by rule CL010\n"
                "                        (unused-authority); without it the\n"
                "                        rule is silent\n");
-}
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
 }
 
 // Identity of a finding for baseline matching. The path is deliberately not
@@ -117,7 +84,7 @@ std::set<std::string> LoadBaseline(const std::string& path, bool* ok) {
                              f["message"].AsString()));
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cheriot_lint: bad baseline %s: %s\n", path.c_str(),
+    std::fprintf(stderr, "%s: bad baseline %s: %s\n", kTool, path.c_str(),
                  e.what());
     *ok = false;
   }
@@ -132,17 +99,8 @@ struct ImageResult {
   int new_findings = 0;    // non-baselined, when a baseline was loaded
 };
 
-// Boots the image far enough to produce the linker report. Boot() runs the
-// loader and TCB init only — no guest code executes.
-json::Value ReportForTarget(const tools::LintTarget& target) {
-  Machine machine;
-  System sys(machine, target.build());
-  sys.Boot();
-  return audit::BuildReport(sys.boot());
-}
-
 ImageResult LintOne(const std::string& name, const json::Value& report,
-                    const CliOptions& opts) {
+                    const LintArgs& opts) {
   ImageResult r;
   r.name = name;
   r.findings = analysis::RunLints(report, opts.lint);
@@ -152,7 +110,7 @@ ImageResult LintOne(const std::string& name, const json::Value& report,
 }
 
 void PrintText(const ImageResult& r, const std::set<std::string>* baseline,
-               const CliOptions& opts) {
+               const LintArgs& opts) {
   std::printf("== %s: %zu finding%s ==\n", r.name.c_str(), r.findings.size(),
               r.findings.size() == 1 ? "" : "s");
   for (const auto& f : r.findings) {
@@ -172,83 +130,47 @@ void PrintText(const ImageResult& r, const std::set<std::string>* baseline,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* flag) -> const char* {
-      const size_t n = std::strlen(flag);
-      return arg.compare(0, n, flag) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (arg == "--list-targets") {
-      opts.list = true;
-    } else if (arg == "--all") {
-      opts.all = true;
-    } else if (arg == "--fix-suggestions") {
-      opts.fix_suggestions = true;
-    } else if (arg == "--update-baselines") {
-      opts.update_baselines = true;
-    } else if (const char* v = value("--target=")) {
-      for (auto& t : SplitCsv(v)) {
-        opts.targets.push_back(t);
+int Lint(const std::vector<std::string>& args) {
+  LintArgs opts;
+  std::string value;
+  for (const std::string& arg : args) {
+    if (opts.selection.Parse(arg) ||
+        Switch(arg, "--fix-suggestions", &opts.fix_suggestions) ||
+        Switch(arg, "--update-baselines", &opts.update_baselines) ||
+        Text(arg, "--baseline=", &opts.baseline_file) ||
+        Text(arg, "--baseline-dir=", &opts.baseline_dir) ||
+        Text(arg, "--coverage=", &opts.coverage_file)) {
+    } else if (Text(arg, "--report=", &value)) {
+      opts.report_files.push_back(value);
+    } else if (Text(arg, "--format=", &value)) {
+      if (value != "json" && value != "text") {
+        throw UsageError("unknown format " + value);
       }
-    } else if (const char* v = value("--report=")) {
-      opts.report_files.push_back(v);
-    } else if (const char* v = value("--format=")) {
-      if (std::string(v) == "json") {
-        opts.json_format = true;
-      } else if (std::string(v) != "text") {
-        std::fprintf(stderr, "cheriot_lint: unknown format %s\n", v);
-        return 2;
-      }
-    } else if (const char* v = value("--restrict-mmio=")) {
-      for (auto& d : SplitCsv(v)) {
+      opts.json_format = value == "json";
+    } else if (Text(arg, "--restrict-mmio=", &value)) {
+      for (auto& d : SplitCsv(value)) {
         opts.lint.restricted_mmio.push_back(d);
       }
-    } else if (const char* v = value("--baseline=")) {
-      opts.baseline_file = v;
-    } else if (const char* v = value("--baseline-dir=")) {
-      opts.baseline_dir = v;
-    } else if (const char* v = value("--coverage=")) {
-      opts.coverage_file = v;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
     } else {
-      std::fprintf(stderr, "cheriot_lint: unknown option %s\n", arg.c_str());
-      Usage(stderr);
-      return 2;
+      throw UsageError("unknown option " + arg);
     }
   }
 
-  if (opts.list) {
-    for (const auto& t : LintTargets()) {
-      std::printf("%-26s %s\n", t.name.c_str(), t.description.c_str());
-    }
+  if (opts.selection.list) {
+    PrintTargets();
     return 0;
   }
-  if (opts.all) {
-    for (const auto& t : LintTargets()) {
-      opts.targets.push_back(t.name);
-    }
-  }
-  if (opts.targets.empty() && opts.report_files.empty()) {
-    Usage(stderr);
-    return 2;
+  const std::vector<const Target*> targets = opts.selection.Resolve();
+  if (targets.empty() && opts.report_files.empty()) {
+    throw UsageError("no image given (--all, --target=NAME or --report=FILE)");
   }
   if (opts.update_baselines && opts.baseline_dir.empty()) {
-    std::fprintf(stderr,
-                 "cheriot_lint: --update-baselines requires --baseline-dir\n");
-    return 2;
+    throw UsageError("--update-baselines requires --baseline-dir");
   }
   if (!opts.baseline_file.empty() &&
-      opts.targets.size() + opts.report_files.size() > 1) {
-    std::fprintf(stderr,
-                 "cheriot_lint: --baseline applies to a single image; use "
-                 "--baseline-dir\n");
-    return 2;
+      targets.size() + opts.report_files.size() > 1) {
+    throw UsageError("--baseline applies to a single image; use "
+                     "--baseline-dir");
   }
 
   // CL010 evidence, if supplied; owned here so LintOptions can hold a
@@ -257,43 +179,35 @@ int main(int argc, char** argv) {
   if (!opts.coverage_file.empty()) {
     std::string text;
     if (!ReadFile(opts.coverage_file, &text)) {
-      std::fprintf(stderr, "cheriot_lint: cannot read %s\n",
+      std::fprintf(stderr, "%s: cannot read %s\n", kTool,
                    opts.coverage_file.c_str());
       return 2;
     }
     try {
       coverage_doc = json::Parse(text);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "cheriot_lint: bad coverage %s: %s\n",
+      std::fprintf(stderr, "%s: bad coverage %s: %s\n", kTool,
                    opts.coverage_file.c_str(), e.what());
       return 2;
     }
     opts.lint.coverage = &coverage_doc;
   }
 
-  // Gather (name, report) pairs. FindCovTarget resolves the shipped
-  // registry plus the seeded cov-overprivileged image (opt-in, not --all).
+  // Gather (name, report) pairs.
   std::vector<std::pair<std::string, json::Value>> reports;
-  for (const auto& name : opts.targets) {
-    const tools::LintTarget* t = tools::FindCovTarget(name);
-    if (t == nullptr) {
-      std::fprintf(stderr,
-                   "cheriot_lint: unknown target '%s' (--list-targets)\n",
-                   name.c_str());
-      return 2;
-    }
+  for (const Target* t : targets) {
     try {
-      reports.emplace_back(name, ReportForTarget(*t));
+      reports.emplace_back(t->name, AuditReport(*t));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "cheriot_lint: failed to load %s: %s\n",
-                   name.c_str(), e.what());
+      std::fprintf(stderr, "%s: failed to load %s: %s\n", kTool,
+                   t->name.c_str(), e.what());
       return 2;
     }
   }
   for (const auto& file : opts.report_files) {
     std::string text;
     if (!ReadFile(file, &text)) {
-      std::fprintf(stderr, "cheriot_lint: cannot read %s\n", file.c_str());
+      std::fprintf(stderr, "%s: cannot read %s\n", kTool, file.c_str());
       return 2;
     }
     try {
@@ -303,7 +217,7 @@ int main(int argc, char** argv) {
                              : report["firmware"].AsString();
       reports.emplace_back(std::move(name), std::move(report));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "cheriot_lint: bad report %s: %s\n", file.c_str(),
+      std::fprintf(stderr, "%s: bad report %s: %s\n", kTool, file.c_str(),
                    e.what());
       return 2;
     }
@@ -317,12 +231,9 @@ int main(int argc, char** argv) {
 
     if (opts.update_baselines) {
       const std::string path = opts.baseline_dir + "/" + name + ".json";
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cheriot_lint: cannot write %s\n", path.c_str());
+      if (!WriteArtifact(kTool, path, r.json.Dump(2) + "\n")) {
         return 2;
       }
-      out << r.json.Dump(2) << "\n";
       std::fprintf(stderr, "wrote %s (%zu findings)\n", path.c_str(),
                    r.findings.size());
       any_errors = any_errors || r.has_errors;
@@ -338,7 +249,7 @@ int main(int argc, char** argv) {
     if (!baseline_path.empty()) {
       baseline = LoadBaseline(baseline_path, &have_baseline);
       if (!have_baseline) {
-        std::fprintf(stderr, "cheriot_lint: missing baseline %s\n",
+        std::fprintf(stderr, "%s: missing baseline %s\n", kTool,
                      baseline_path.c_str());
         return 2;
       }
@@ -372,8 +283,14 @@ int main(int argc, char** argv) {
     }
   }
   if (total_new > 0) {
-    std::fprintf(stderr, "cheriot_lint: %d finding%s not in baseline\n",
+    std::fprintf(stderr, "%s: %d finding%s not in baseline\n", kTool,
                  total_new, total_new == 1 ? "" : "s");
   }
   return any_errors ? 1 : 0;
 }
+
+}  // namespace
+
+Command LintCommand() { return {"lint", Usage, Lint}; }
+
+}  // namespace cheriot::tools

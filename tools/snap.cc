@@ -1,8 +1,5 @@
-// cheriot_snap: save, restore, inspect and compare deterministic machine
-// snapshots (DESIGN.md §10) of the shipped firmware images.
-//
-// Targets come from the same registry as cheriot_lint/cheriot_trace/
-// cheriot_health. A snapshot records everything the simulation is a function
+// cheriot snap: save, restore, inspect and compare deterministic machine
+// snapshots (DESIGN.md §10) of the registry images. A snapshot records everything the simulation is a function
 // of — SRAM + tag bitmaps, kernel/scheduler/allocator state, device queues
 // and the replay log of external inputs — so `restore` rebuilds the exact
 // machine (Restore self-verifies byte-for-byte) and can keep running it.
@@ -15,8 +12,6 @@
 // Exit codes: 0 ok (diff: identical), 1 snapshots differ or verify failed,
 // 2 usage or load failure.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,23 +19,20 @@
 #include "src/sim/fleet.h"
 #include "src/snap/diff.h"
 #include "src/snap/snapshot.h"
-#include "tools/lint_targets.h"
+#include "tools/cli.h"
 
-using namespace cheriot;
-using cheriot::tools::FindLintTarget;
-using cheriot::tools::LintTargets;
-
+namespace cheriot::tools {
 namespace {
 
-struct CliOptions {
-  std::string command;
+constexpr const char kTool[] = "cheriot snap";
+
+struct SnapArgs {
   std::string target;
   std::string in_path;
   std::string out_path;
   std::string a_path;
   std::string b_path;
-  Cycles cycles = 20'000'000;
-  bool cycles_set = false;
+  Cycles cycles = 0;
   int fleet = 0;         // 0 = single board
   int host_threads = 1;  // fleet restore worker threads
   bool trace = false;
@@ -50,18 +42,17 @@ struct CliOptions {
 void Usage(std::FILE* out) {
   std::fprintf(
       out,
-      "usage: cheriot_snap <command> [options]\n"
+      "usage: cheriot snap <command> [options]\n"
       "\n"
       "commands:\n"
       "  save     --target=NAME --out=FILE [--cycles=N] [--fleet=N]\n"
       "           [--trace] [--forensics]\n"
-      "  restore  --target=NAME --in=FILE [--cycles=N] [--fleet=N]\n"
-      "           [--host-threads=N]\n"
+      "  restore  --target=NAME --in=FILE [--cycles=N] [--host-threads=N]\n"
       "  info     --in=FILE\n"
       "  diff     --a=FILE --b=FILE\n"
       "  list-targets\n"
       "\n"
-      "  --target=NAME      a built-in firmware image (see list-targets)\n"
+      "  --target=NAME      a registry image (see list-targets)\n"
       "  --cycles=N         save: cycles to run before snapshotting\n"
       "                     restore: extra cycles to run after restoring\n"
       "                     (default 20000000 / 0)\n"
@@ -72,39 +63,25 @@ void Usage(std::FILE* out) {
 }
 
 bool ReadBlob(const std::string& path, std::vector<uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cheriot_snap: cannot read %s\n", path.c_str());
+  std::string bytes;
+  if (!ReadFile(path, &bytes)) {
+    std::fprintf(stderr, "%s: cannot read %s\n", kTool, path.c_str());
     return false;
   }
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
+  out.assign(bytes.begin(), bytes.end());
   return true;
 }
 
-bool WriteBlob(const std::string& path, const std::vector<uint8_t>& blob) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cheriot_snap: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  return out.good();
+void PrintFingerprint(const char* label, const sim::Board::Fingerprint& f) {
+  std::printf("%s %s\n", label, FormatFingerprint(f).c_str());
 }
 
-void PrintFingerprint(const char* label, const sim::Board::Fingerprint& f) {
-  std::printf(
-      "%s now=%llu accesses=%llu cap=%llu/%llu traps=%llu idle=%llu"
-      " uart=%llu/%016llx reboots=%u\n",
-      label, static_cast<unsigned long long>(f.now),
-      static_cast<unsigned long long>(f.accesses),
-      static_cast<unsigned long long>(f.cap_loads),
-      static_cast<unsigned long long>(f.cap_stores),
-      static_cast<unsigned long long>(f.traps),
-      static_cast<unsigned long long>(f.idle_cycles),
-      static_cast<unsigned long long>(f.uart_bytes),
-      static_cast<unsigned long long>(f.uart_hash), f.reboots);
+const Target& NeedTarget(const std::string& name) {
+  const Target* t = FindTarget(name);
+  if (t == nullptr) {
+    throw UsageError("unknown target '" + name + "' (list-targets)");
+  }
+  return *t;
 }
 
 std::string FlagNames(uint32_t flags) {
@@ -132,12 +109,11 @@ const char* KindName(uint8_t kind) {
   return "unknown";
 }
 
-int CmdSave(const CliOptions& opts) {
-  const tools::LintTarget* t = FindLintTarget(opts.target);
-  if (t == nullptr || opts.out_path.empty()) {
-    std::fprintf(stderr, "cheriot_snap: save needs --target and --out\n");
-    return 2;
+int CmdSave(const SnapArgs& opts) {
+  if (opts.out_path.empty()) {
+    throw UsageError("save needs --out");
   }
+  const Target& t = NeedTarget(opts.target);
   std::vector<uint8_t> blob;
   if (opts.fleet > 0) {
     sim::FleetOptions fopts;
@@ -145,7 +121,7 @@ int CmdSave(const CliOptions& opts) {
     fopts.forensics = opts.forensics;
     sim::Fleet fleet(fopts);
     for (int i = 0; i < opts.fleet; ++i) {
-      fleet.AddBoard(t->build());
+      fleet.AddBoard(t.build());
     }
     fleet.Boot();
     fleet.Run(opts.cycles);
@@ -155,7 +131,7 @@ int CmdSave(const CliOptions& opts) {
                 static_cast<unsigned long long>(fleet.Now()),
                 opts.out_path.c_str(), blob.size());
   } else {
-    sim::Board board(t->build(), {});
+    sim::Board board(t.build(), {});
     if (opts.trace) {
       board.EnableTrace();
     }
@@ -173,15 +149,17 @@ int CmdSave(const CliOptions& opts) {
                 static_cast<unsigned long long>(board.Now()),
                 opts.out_path.c_str(), blob.size());
   }
-  return WriteBlob(opts.out_path, blob) ? 0 : 2;
+  return WriteArtifact(kTool, opts.out_path,
+                       std::string(blob.begin(), blob.end()))
+             ? 0
+             : 2;
 }
 
-int CmdRestore(const CliOptions& opts) {
-  const tools::LintTarget* t = FindLintTarget(opts.target);
-  if (t == nullptr || opts.in_path.empty()) {
-    std::fprintf(stderr, "cheriot_snap: restore needs --target and --in\n");
-    return 2;
+int CmdRestore(const SnapArgs& opts) {
+  if (opts.in_path.empty()) {
+    throw UsageError("restore needs --in");
   }
+  const Target& t = NeedTarget(opts.target);
   std::vector<uint8_t> blob;
   if (!ReadBlob(opts.in_path, blob)) {
     return 2;
@@ -189,7 +167,7 @@ int CmdRestore(const CliOptions& opts) {
   const snap::Container c = snap::Container::Parse(blob);
   if (c.kind == snap::kFleet) {
     auto fleet = sim::Fleet::Restore(
-        blob, [&](int) { return t->build(); }, opts.host_threads);
+        blob, [&](int) { return t.build(); }, opts.host_threads);
     std::printf("restored fleet of %zu at cycle %llu (verified)\n",
                 fleet->size(),
                 static_cast<unsigned long long>(fleet->Now()));
@@ -200,7 +178,7 @@ int CmdRestore(const CliOptions& opts) {
       PrintFingerprint("  board:", f);
     }
   } else {
-    auto board = sim::Board::Restore(blob, t->build());
+    auto board = sim::Board::Restore(blob, t.build());
     std::printf("restored board at cycle %llu (verified, %s)\n",
                 static_cast<unsigned long long>(board->Now()),
                 (c.flags & snap::kColdRestorable) ? "cold path"
@@ -213,10 +191,9 @@ int CmdRestore(const CliOptions& opts) {
   return 0;
 }
 
-int CmdInfo(const CliOptions& opts) {
+int CmdInfo(const SnapArgs& opts) {
   if (opts.in_path.empty()) {
-    std::fprintf(stderr, "cheriot_snap: info needs --in\n");
-    return 2;
+    throw UsageError("info needs --in");
   }
   std::vector<uint8_t> blob;
   if (!ReadBlob(opts.in_path, blob)) {
@@ -233,10 +210,9 @@ int CmdInfo(const CliOptions& opts) {
   return 0;
 }
 
-int CmdDiff(const CliOptions& opts) {
+int CmdDiff(const SnapArgs& opts) {
   if (opts.a_path.empty() || opts.b_path.empty()) {
-    std::fprintf(stderr, "cheriot_snap: diff needs --a and --b\n");
-    return 2;
+    throw UsageError("diff needs --a and --b");
   }
   std::vector<uint8_t> ab;
   std::vector<uint8_t> bb;
@@ -267,79 +243,55 @@ int CmdDiff(const CliOptions& opts) {
   return d.equal ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions opts;
-  if (argc >= 2 && argv[1][0] != '-') {
-    opts.command = argv[1];
-  }
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* flag) -> const char* {
-      const size_t n = std::strlen(flag);
-      return arg.compare(0, n, flag) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--target=")) {
-      opts.target = v;
-    } else if (const char* v = value("--in=")) {
-      opts.in_path = v;
-    } else if (const char* v = value("--out=")) {
-      opts.out_path = v;
-    } else if (const char* v = value("--a=")) {
-      opts.a_path = v;
-    } else if (const char* v = value("--b=")) {
-      opts.b_path = v;
-    } else if (const char* v = value("--cycles=")) {
-      opts.cycles = std::strtoull(v, nullptr, 10);
-      opts.cycles_set = true;
-    } else if (const char* v = value("--fleet=")) {
-      opts.fleet = std::atoi(v);
-    } else if (const char* v = value("--host-threads=")) {
-      opts.host_threads = std::atoi(v);
-    } else if (arg == "--trace") {
-      opts.trace = true;
-    } else if (arg == "--forensics") {
-      opts.forensics = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "cheriot_snap: unknown option %s\n", arg.c_str());
-      Usage(stderr);
-      return 2;
+int Snap(const std::vector<std::string>& args) {
+  const std::string command = args.empty() ? "" : args[0];
+  SnapArgs opts;
+  // save runs the image first; restore by default only rebuilds and
+  // verifies.
+  opts.cycles = command == "restore" ? 0 : 20'000'000;
+  for (size_t i = 1; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const bool parsed = Text(arg, "--target=", &opts.target) ||
+                        Text(arg, "--in=", &opts.in_path) ||
+                        Text(arg, "--out=", &opts.out_path) ||
+                        Text(arg, "--a=", &opts.a_path) ||
+                        Text(arg, "--b=", &opts.b_path) ||
+                        Count(arg, "--cycles=", &opts.cycles) ||
+                        Count(arg, "--fleet=", &opts.fleet) ||
+                        Count(arg, "--host-threads=", &opts.host_threads) ||
+                        Switch(arg, "--trace", &opts.trace) ||
+                        Switch(arg, "--forensics", &opts.forensics);
+    if (!parsed) {
+      throw UsageError("unknown option " + arg);
     }
-  }
-
-  if (opts.command == "restore" && !opts.cycles_set) {
-    opts.cycles = 0;  // restore default: just rebuild and verify
   }
   try {
-    if (opts.command == "list-targets") {
-      for (const auto& t : LintTargets()) {
-        std::printf("%-26s %s\n", t.name.c_str(), t.description.c_str());
-      }
+    if (command == "list-targets") {
+      PrintTargets();
       return 0;
     }
-    if (opts.command == "save") {
+    if (command == "save") {
       return CmdSave(opts);
     }
-    if (opts.command == "restore") {
+    if (command == "restore") {
       return CmdRestore(opts);
     }
-    if (opts.command == "info") {
+    if (command == "info") {
       return CmdInfo(opts);
     }
-    if (opts.command == "diff") {
+    if (command == "diff") {
       return CmdDiff(opts);
     }
   } catch (const snap::SnapshotError& e) {
-    std::fprintf(stderr, "cheriot_snap: %s\n", e.what());
+    std::fprintf(stderr, "%s: %s\n", kTool, e.what());
     return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cheriot_snap: %s\n", e.what());
-    return 2;
   }
-  Usage(stderr);
-  return 2;
+  throw UsageError(command.empty() ? "no command given"
+                                   : "unknown command " + command);
 }
+
+}  // namespace
+
+Command SnapCommand() { return {"snap", Usage, Snap}; }
+
+}  // namespace cheriot::tools
