@@ -7,10 +7,11 @@
 // compartment calls per buffer (rising roughly linearly with size); above
 // 32 KiB the revoker becomes the bottleneck; past ~1/3 and ~1/2 of the heap
 // only two / one object(s) fit and every free synchronizes with a full
-// revocation sweep.
-#include <benchmark/benchmark.h>
-
+// revocation sweep. The table is deterministic and pinned byte for byte by
+// tests/golden/bench_alloc_throughput.txt.
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/rtos.h"
@@ -80,25 +81,8 @@ const Word kSizes[] = {64,    128,   256,   512,    1024,  2048,
 }  // namespace
 }  // namespace cheriot
 
-int main(int argc, char** argv) {
+int main() {
   using namespace cheriot;
-  for (Word size : kSizes) {
-    benchmark::RegisterBenchmark(
-        ("alloc_rate/" + std::to_string(size)).c_str(),
-        [size](benchmark::State& state) {
-          const Sample s = MeasureSize(size);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(s.mib_per_s);
-          }
-          state.counters["MiBps"] = s.mib_per_s;
-          state.counters["cycles_per_pair"] = s.cycles_per_pair;
-        });
-  }
-  benchmark::Initialize(&argc, argv);
-  // The per-size measurement is deterministic; a single gbench iteration
-  // suffices, so run the table directly for the figure.
-  benchmark::Shutdown();
-
   std::printf("=== Figure 6b: sustained allocation rate vs allocation size ===\n");
   std::printf("(heap ~228 KiB of 256 KiB SRAM; malloc+free pairs; 33 MHz)\n\n");
   std::printf("  %10s %12s %16s %10s  %s\n", "size(B)", "MiB/s",

@@ -7,9 +7,9 @@
 // ablation runs CoreMark's three kernel shapes — linked-list traversal
 // (capability-heavy), matrix multiply (word-heavy) and CRC (byte-heavy) —
 // measures CHERIoT cycles, and recomputes the baseline by removing exactly
-// the per-capability-load penalty the paper describes.
-#include <benchmark/benchmark.h>
-
+// the per-capability-load penalty the paper describes. The report is
+// deterministic and pinned byte for byte by
+// tests/golden/bench_cap_overhead.txt.
 #include <cstdio>
 
 #include "src/rtos.h"
@@ -88,7 +88,6 @@ Ablation RunWorkload() {
           }
           ctx.Burn(18 * cost::kInstruction);  // 8 shift/xor rounds
         }
-        benchmark::DoNotOptimize(acc + crc);
 
         out->cheriot_cycles = static_cast<double>(ctx.Now() - t0);
         out->cap_loads = mem.cap_load_count();
@@ -115,21 +114,8 @@ Ablation RunWorkload() {
 }  // namespace
 }  // namespace cheriot
 
-int main(int argc, char** argv) {
+int main() {
   using namespace cheriot;
-  benchmark::RegisterBenchmark("coremark_ablation", [](benchmark::State& state) {
-    const Ablation a = RunWorkload();
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(a.cheriot_cycles);
-    }
-    state.counters["cheriot_cycles"] = a.cheriot_cycles;
-    state.counters["baseline_cycles"] = a.baseline_cycles;
-    state.counters["overhead_pct"] = a.overhead_percent();
-  });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
   const Ablation a = RunWorkload();
   std::printf("\n=== §5.3 hardware-performance ablation (CoreMark-style) ===\n");
   std::printf("  CHERIoT cycles:  %.0f\n", a.cheriot_cycles);

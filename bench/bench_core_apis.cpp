@@ -1,8 +1,7 @@
 // Table 3 reproduction: average latencies of the core CHERIoT RTOS APIs
 // (opaque objects, allocation, interface hardening, error handling), in
-// simulated CPU cycles.
-#include <benchmark/benchmark.h>
-
+// simulated CPU cycles. The table is deterministic and pinned byte for byte
+// by tests/golden/bench_core_apis.txt.
 #include <cstdio>
 
 #include "src/rtos.h"
@@ -57,9 +56,7 @@ double MeasureUnseal() {
     const Capability q = ctx.SealedImport("q");
     const Capability key = ctx.TokenKeyNew();
     const Capability obj = ctx.TokenObjNew(q, key, 32);
-    return Average(ctx, 50, [&] {
-      benchmark::DoNotOptimize(ctx.TokenUnseal(key, obj));
-    });
+    return Average(ctx, 50, [&] { ctx.TokenUnseal(key, obj); });
   });
 }
 
@@ -80,7 +77,7 @@ double MeasureSealedAlloc() {
 
 double MeasureKeyNew() {
   return RunGuestBench([](CompartmentCtx& ctx) {
-    return Average(ctx, 20, [&] { benchmark::DoNotOptimize(ctx.TokenKeyNew()); });
+    return Average(ctx, 20, [&] { ctx.TokenKeyNew(); });
   });
 }
 
@@ -92,7 +89,7 @@ double MeasureDeprivilege() {
     const Cycles t0 = ctx.Now();
     for (int i = 0; i < 100; ++i) {
       ctx.Burn(cost::kInstruction * 4);  // candidate: 2 bounds + 2 perms ops
-      benchmark::DoNotOptimize(hardening::ImmutableNoCapture(g));
+      hardening::ImmutableNoCapture(g);
     }
     return static_cast<double>(ctx.Now() - t0) / 100;
   });
@@ -103,9 +100,9 @@ double MeasureCheckPointer() {
     const Capability g = ctx.globals();
     const Cycles t0 = ctx.Now();
     for (int i = 0; i < 100; ++i) {
-      benchmark::DoNotOptimize(hardening::CheckPointerCosted(
+      hardening::CheckPointerCosted(
           ctx.machine(), g, 16,
-          PermissionSet({Permission::kLoad, Permission::kStore})));
+          PermissionSet({Permission::kLoad, Permission::kStore}));
     }
     return static_cast<double>(ctx.Now() - t0) / 100;
   });
@@ -177,11 +174,10 @@ double MeasureUnwindNoHandler() {
 double MeasureGlobalHandlerFault() {
   return RunGuestBench(
       [](CompartmentCtx& ctx) {
-        const Capability g = ctx.globals();
         // Handler corrects the authority, so the op resumes (install-context).
         const Cycles t0 = ctx.Now();
         for (int i = 0; i < 20; ++i) {
-          benchmark::DoNotOptimize(ctx.LoadWord(Capability::FromWord(1), 0));
+          ctx.LoadWord(Capability::FromWord(1), 0);
         }
         return static_cast<double>(ctx.Now() - t0) / 20 -
                2 * cost::kLoadWord;  // the faulting + retried loads
@@ -227,27 +223,10 @@ const Row kRows[] = {
     {"Error Handling", "Scoped handler, fault", MeasureScopedFault, "222"},
 };
 
-void RegisterAll() {
-  for (const Row& row : kRows) {
-    benchmark::RegisterBenchmark(row.name, [&row](benchmark::State& state) {
-      const double cycles = row.fn();
-      for (auto _ : state) {
-        benchmark::DoNotOptimize(cycles);
-      }
-      state.counters["sim_cycles"] = cycles;
-    });
-  }
-}
-
 }  // namespace
 }  // namespace cheriot
 
-int main(int argc, char** argv) {
-  cheriot::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+int main() {
   std::printf("\n=== Table 3: average latencies of core APIs (cycles) ===\n");
   std::printf("  %-22s %-32s %10s %10s\n", "API", "operation", "measured",
               "paper");

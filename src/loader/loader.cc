@@ -454,8 +454,10 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
       rt.state = rt.def->state_factory();
     }
     rt.globals_snapshot.resize(rt.globals_size);
-    std::memcpy(rt.globals_snapshot.data(), mem.raw(rt.globals_base),
-                rt.globals_size);
+    if (rt.globals_size > 0) {  // data() of an empty vector may be null
+      std::memcpy(rt.globals_snapshot.data(), mem.raw(rt.globals_base),
+                  rt.globals_size);
+    }
   }
 
   // --- Self-erase (§3.1.1): scratch becomes heap -------------------------------

@@ -4,9 +4,12 @@
 // fails here rather than turning a CI gate into a no-op.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -72,6 +75,31 @@ TEST(CliTest, SeededImagesResolveInEverySubcommand) {
   const int mc = Cheriot("mc --target=cov-overprivileged --max-schedules=8" +
                          OutDir());
   EXPECT_TRUE(mc == 0 || mc == 1) << mc;
+}
+
+// The one registry image that crashes under its default run: --scenes must
+// dump exactly one crash scene, and `snap info` must read it back.
+TEST(CliTest, HealthScenesDumpsOneReadableSceneForSeededUaf) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("cheriot_scenes_" + std::to_string(getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ASSERT_EQ(Cheriot("health --target=seeded-uaf --scenes --out-dir=" +
+                    dir.string()),
+            0);
+  std::vector<fs::path> scenes;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("scene_", 0) == 0) {
+      EXPECT_EQ(name.rfind("scene_seeded-uaf_", 0), 0u) << name;
+      EXPECT_EQ(entry.path().extension(), ".snap") << name;
+      scenes.push_back(entry.path());
+    }
+  }
+  ASSERT_EQ(scenes.size(), 1u);
+  EXPECT_EQ(Cheriot("snap info --in=" + scenes[0].string()), 0);
+  fs::remove_all(dir);
 }
 
 TEST(CliTest, HelpExitsZero) {

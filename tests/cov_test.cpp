@@ -230,6 +230,14 @@ TEST(CovTest, Cl010FlagsSeededImageAndStaysQuietOnShippedImages) {
     EXPECT_NE(f.severity, "warning") << f.subject << ": " << f.message;
     EXPECT_NE(f.severity, "error") << f.subject << ": " << f.message;
   }
+
+  // fleet-node's evidence handed to the seeded image: CL010 evaluates no
+  // grant and says so once, naming the command that records fresh evidence.
+  const auto stale = Cl010Findings("cov-overprivileged", coverage);
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0].severity, "info");
+  EXPECT_NE(stale[0].message.find("fleet-node"), std::string::npos);
+  EXPECT_EQ(stale[0].fix, "re-run cheriot cov on this image");
 }
 
 TEST(CovTest, StaleEvidenceYieldsOneInfoFindingAndNoDiff) {
@@ -240,6 +248,7 @@ TEST(CovTest, StaleEvidenceYieldsOneInfoFindingAndNoDiff) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, "info");
   EXPECT_NE(findings[0].message.find("cov-overprivileged"), std::string::npos);
+  EXPECT_EQ(findings[0].fix, "re-run cheriot cov on this image");
 
   const json::Value report =
       cov::LeastPrivilegeJson(AuditOf("quickstart"), seeded);
@@ -247,6 +256,8 @@ TEST(CovTest, StaleEvidenceYieldsOneInfoFindingAndNoDiff) {
   ASSERT_EQ(report["findings"].size(), 1u);
   EXPECT_EQ(report["findings"][size_t{0}]["kind"].AsString(),
             "stale_evidence");
+  EXPECT_EQ(report["findings"][size_t{0}]["suggestion"].AsString(),
+            "re-run cheriot cov on this image");
 }
 
 TEST(CovTest, NoEvidenceDisablesCl010Entirely) {

@@ -81,7 +81,8 @@ TEST(ExportDigest, RecordedFleetExportsAreBytePinned) {
   const json::Value trace = trace::MergedChromeTrace(fleet->TraceRecorders());
   const flow::FlowRecorder* fr = fleet->flow_recorder();
   ASSERT_NE(fr, nullptr);
-  EXPECT_GT(fr->flow_count(), 0u);
+  EXPECT_EQ(fr->flow_count(), 108u);
+  EXPECT_EQ(fr->deliveries(), 88u);
   const json::Value cov =
       cov::CoverageJson("fleet-node", fleet->CovRecorders());
 

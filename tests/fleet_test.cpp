@@ -34,7 +34,7 @@ struct FleetRun {
 
 FleetRun MakeFleet(int boards, int host_threads,
                    bool ping_next_peer = false, bool fast_forward = true,
-                   Cycles epoch = 0) {
+                   Cycles epoch = 0, FleetAppOptions app = {}) {
   FleetRun run;
   FleetOptions options;
   options.host_threads = host_threads;
@@ -43,7 +43,6 @@ FleetRun MakeFleet(int boards, int host_threads,
   run.fleet = std::make_unique<Fleet>(options);
   for (int i = 0; i < boards; ++i) {
     auto state = std::make_shared<FleetAppState>();
-    FleetAppOptions app;
     app.board_index = i;
     if (ping_next_peer) {
       // Leases are handed out in board-index order (asserted by
@@ -144,6 +143,19 @@ TEST(FleetTest, HostPingsEveryBoardThroughFabric) {
 
 // --- Determinism contract ---------------------------------------------------
 
+// True when the CHERIOT_FLEET_FAST_FORWARD override is active: the explicit
+// FleetOptions::fast_forward flag is ignored, so cross-mode comparisons
+// degenerate (both sides run in the forced mode) and effectiveness tests
+// must skip. CI exploits this to run the whole suite in each mode.
+bool FastForwardForcedByEnv() {
+  return std::getenv("CHERIOT_FLEET_FAST_FORWARD") != nullptr;
+}
+
+bool FastForwardForcedOff() {
+  return FastForwardForcedByEnv() &&
+         std::string(std::getenv("CHERIOT_FLEET_FAST_FORWARD")) == "0";
+}
+
 struct RunOutcome {
   std::vector<Board::Fingerprint> fingerprints;
   std::vector<int> notifications;
@@ -151,6 +163,7 @@ struct RunOutcome {
   uint32_t gw_acks = 0;
   uint32_t gw_accepts = 0;
   uint64_t frames = 0;
+  uint64_t barriers = 0;  // a host schedule: depends on fast-forward/epoch
 };
 
 // Fixed two-phase horizon: run, publish from the broker at a fixed fleet
@@ -172,6 +185,7 @@ RunOutcome RunFixedHorizon(int boards, int host_threads,
   out.gw_acks = run.fleet->gateway().dhcp_acks_sent();
   out.gw_accepts = run.fleet->gateway().tcp_connections_accepted();
   out.frames = run.fleet->frames_exchanged();
+  out.barriers = run.fleet->barriers();
   return out;
 }
 
@@ -205,6 +219,34 @@ TEST(FleetDeterminismTest, RepeatedRunsAreBitIdentical) {
   EXPECT_GE(first.gw_accepts, 4u);
   EXPECT_GT(first.frames, 0u);
   ExpectSameOutcome(first, second, "repeat");
+  EXPECT_EQ(first.barriers, second.barriers);
+}
+
+// The busy burst: 8 boards each announce and then publish 64 status messages
+// back to back, run until every board has published 65 times. Returns the
+// busy and idle guest cycles summed over the boards (busy + idle == clock,
+// DESIGN.md §6.1) and the barriers the run took.
+std::vector<uint64_t> BusyBurst(int host_threads) {
+  FleetAppOptions app;
+  app.busy_publishes = 64;
+  FleetRun run = MakeFleet(8, host_threads, false, true, 0, app);
+  EXPECT_TRUE(run.fleet->RunUntil(
+      [&] {
+        for (const auto& s : run.states) {
+          if (s->publishes < 1 + app.busy_publishes) {
+            return false;
+          }
+        }
+        return true;
+      },
+      60 * kSecond));
+  uint64_t clock = 0;
+  uint64_t idle = 0;
+  for (const auto& fp : run.fleet->Fingerprints()) {
+    clock += fp.now;
+    idle += fp.idle_cycles;
+  }
+  return {clock - idle, idle, run.fleet->barriers()};
 }
 
 TEST(FleetDeterminismTest, ThreadCountDoesNotChangeResults) {
@@ -213,6 +255,19 @@ TEST(FleetDeterminismTest, ThreadCountDoesNotChangeResults) {
   const RunOutcome four = RunFixedHorizon(4, 4);
   ExpectSameOutcome(serial, two, "2-thread");
   ExpectSameOutcome(serial, four, "4-thread");
+  // The barrier schedule does not depend on the worker count either.
+  EXPECT_EQ(serial.barriers, two.barriers);
+  EXPECT_EQ(serial.barriers, four.barriers);
+  // The busy burst lands on the same guest cycles and the same barrier
+  // count at 1, 2 and 4 workers, pinned exactly. RunUntil stops at a
+  // barrier, so the pin holds for the default (fast-forward) schedule.
+  if (FastForwardForcedOff()) {
+    return;
+  }
+  const std::vector<uint64_t> burst = {78'966'840, 1'118'480, 224};
+  for (int threads : {1, 2, 4}) {
+    EXPECT_EQ(BusyBurst(threads), burst) << threads << " worker(s)";
+  }
 }
 
 TEST(FleetTest, EpochNeverExceedsLinkLatency) {
@@ -220,14 +275,6 @@ TEST(FleetTest, EpochNeverExceedsLinkLatency) {
   EXPECT_GT(run.fleet->epoch_length(), 0u);
   EXPECT_LE(run.fleet->epoch_length(),
             run.fleet->fabric().MinLinkLatency());
-}
-
-// True when the CHERIOT_FLEET_FAST_FORWARD override is active: the explicit
-// FleetOptions::fast_forward flag is ignored, so cross-mode comparisons
-// degenerate (both sides run in the forced mode) and effectiveness tests
-// must skip. CI exploits this to run the whole suite in each mode.
-bool FastForwardForcedByEnv() {
-  return std::getenv("CHERIOT_FLEET_FAST_FORWARD") != nullptr;
 }
 
 // The tentpole contract: idle fast-forward, adaptive epoch coarsening and
@@ -296,8 +343,7 @@ TEST(FleetTest, HorizonExactAndNonExactEpochMultiples) {
 // magnitude fewer barriers than the one-per-min-link-latency baseline, and
 // most per-board steps should be parked away entirely.
 TEST(FleetTest, FastForwardCollapsesIdleEpochs) {
-  if (FastForwardForcedByEnv() &&
-      std::string(std::getenv("CHERIOT_FLEET_FAST_FORWARD")) == "0") {
+  if (FastForwardForcedOff()) {
     GTEST_SKIP() << "fast-forward forced off by environment";
   }
   FleetRun run = MakeFleet(4, 1);
@@ -314,6 +360,33 @@ TEST(FleetTest, FastForwardCollapsesIdleEpochs) {
   // Every board's clock caught up to the fleet clock (modulo overshoot).
   for (const auto& fp : run.fleet->Fingerprints()) {
     EXPECT_GE(fp.now, run.fleet->Now());
+  }
+
+  // A telemetry fleet (8 boards sleeping 5 s between polls) brought up to
+  // MQTT steady state: the barriers its idle seconds take are pinned
+  // exactly. 60 s take 138 with fast-forward; without it every epoch is a
+  // barrier (6 s shown, to keep the conservative run short).
+  auto idle_barriers = [](bool fast_forward, Cycles span) {
+    FleetAppOptions app;
+    app.poll_timeout = 5 * kSecond;
+    FleetRun telemetry = MakeFleet(8, 1, false, fast_forward, 0, app);
+    EXPECT_TRUE(telemetry.fleet->RunUntil(
+        [&] {
+          for (const auto& s : telemetry.states) {
+            if (!s->connected) {
+              return false;
+            }
+          }
+          return true;
+        },
+        60 * kSecond));
+    const uint64_t before = telemetry.fleet->barriers();
+    telemetry.fleet->Run(span);
+    return telemetry.fleet->barriers() - before;
+  };
+  EXPECT_EQ(idle_barriers(true, 60 * kSecond), 138u);
+  if (!FastForwardForcedByEnv()) {
+    EXPECT_EQ(idle_barriers(false, 6 * kSecond), 60'000u);
   }
 }
 

@@ -67,25 +67,9 @@ std::vector<Detector> Fired(const BoardHealth& h) {
 // Each builds an adversarial firmware image engineered (thresholds in
 // health::HealthOptions) to trip exactly one detector.
 
-// Use-after-free: allocate, free, then load through the dangling capability
-// with no error handler installed. One kTagViolation, freed provenance.
-FirmwareImage SeededUaf() {
-  ImageBuilder b("seeded-uaf");
-  b.Compartment("app")
-      .Globals(32)
-      .AllocCap("q", 8192)
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        const Capability q = ctx.SealedImport("q");
-        const Capability p = ctx.HeapAllocate(q, 64);
-        ctx.StoreWord(p, 0, 42);
-        ctx.HeapFree(q, p);
-        ctx.LoadWord(p, 0);  // traps: revoked capability, no handler
-        return StatusCap(Status::kOk);
-      });
-  sync::UseAllocator(b, "app");
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
+// Use-after-free: the registry's seeded-uaf image (tools/targets.cc), which
+// `cheriot health --scenes` also runs. One kTagViolation, freed provenance.
+FirmwareImage SeededUaf() { return tools::FindTarget("seeded-uaf")->build(); }
 
 // Trap storm: a tight loop of cross-compartment calls into a service that
 // faults every time (and never reboots, never touches the heap).

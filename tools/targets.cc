@@ -114,9 +114,11 @@ FirmwareImage FleetNode() {
 // --- Seeded images -------------------------------------------------------
 // Each carries one known defect, so the tool that should find it has a true
 // positive: cov-overprivileged for `cheriot cov --report` and lint rule
-// CL010, the seeded-* concurrency bugs for `cheriot mc`, which must find
-// each within one forced scheduling choice while the default schedule (and
-// every other tool) sees the image behave normally.
+// CL010, seeded-uaf for `cheriot health` (a crash record and, with
+// --scenes, a crash scene), and the other seeded-* concurrency bugs for
+// `cheriot mc`, which must find each within one forced scheduling choice
+// while the default schedule (and every other tool) sees the image behave
+// normally.
 
 // Two compartments, four grants, two of them dead. The sensor's entry point
 // runs for real (blinks the LED, calls actuator.set), which makes the
@@ -274,6 +276,27 @@ FirmwareImage SeededQuotaRace() {
   return b.Build();
 }
 
+// Use-after-free: allocate, free, then load through the dangling capability
+// with no error handler installed. One kTagViolation with freed provenance,
+// and the thread unwinds out of its entry point.
+FirmwareImage SeededUaf() {
+  ImageBuilder b("seeded-uaf");
+  b.Compartment("app")
+      .Globals(32)
+      .AllocCap("q", 8192)
+      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
+        const Capability q = ctx.SealedImport("q");
+        const Capability p = ctx.HeapAllocate(q, 64);
+        ctx.StoreWord(p, 0, 42);
+        ctx.HeapFree(q, p);
+        ctx.LoadWord(p, 0);  // traps: revoked capability, no handler
+        return StatusCap(Status::kOk);
+      });
+  sync::UseAllocator(b, "app");
+  b.Thread("t", 1, 8192, 8, "app.main");
+  return b.Build();
+}
+
 std::vector<Target> MakeTargets() {
   std::vector<Target> t = {
       {"fault-tolerance", "micro-reboot / error-handler example image", false,
@@ -299,6 +322,9 @@ std::vector<Target> MakeTargets() {
       {"seeded-quota-race",
        "quota check/allocate TOCTOU; one preemption traps it", true,
        SeededQuotaRace},
+      {"seeded-uaf",
+       "use-after-free with no error handler; one crash record and scene",
+       true, SeededUaf},
       {"seeded-wake-order",
        "non-commutative updates in wake order; flipped pop order diverges",
        true, SeededWakeOrder},
