@@ -37,8 +37,8 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
 }
 
 template <typename Recorder, typename Options>
-Recorder* Board::Enable(std::unique_ptr<Recorder>& slot, Options& saved,
-                        const Options& options) {
+Recorder* Board::Enable(std::unique_ptr<Recorder>& slot,
+                        std::optional<Options>& saved, const Options& options) {
   CHERIOT_CHECK(!booted_, "Board recorders must be enabled before Boot()");
   saved = options;
   slot = std::make_unique<Recorder>(options);
@@ -49,12 +49,12 @@ Recorder* Board::Enable(std::unique_ptr<Recorder>& slot, Options& saved,
 }
 
 trace::TraceRecorder* Board::EnableTrace(trace::TraceOptions options) {
-  return Enable(trace_, trace_options_, options);
+  return Enable(trace_, recorder_options_.trace, options);
 }
 
 health::ForensicsRecorder* Board::EnableForensics(
     health::ForensicsOptions options) {
-  Enable(forensics_, forensics_options_, options);
+  Enable(forensics_, recorder_options_.forensics, options);
   if (options.capture_crash_scene) {
     // Crash-scene capture (DESIGN.md §10): attach a full machine-state
     // snapshot to each crash record. The serializer is a pure observer —
@@ -65,7 +65,19 @@ health::ForensicsRecorder* Board::EnableForensics(
 }
 
 cov::CovRecorder* Board::EnableCoverage(cov::CovOptions options) {
-  return Enable(cov_, cov_options_, options);
+  return Enable(cov_, recorder_options_.cov, options);
+}
+
+void Board::EnableRecorders(const RecorderOptions& r) {
+  if (r.trace) {
+    EnableTrace(*r.trace);
+  }
+  if (r.forensics) {
+    EnableForensics(*r.forensics);
+  }
+  if (r.cov) {
+    EnableCoverage(*r.cov);
+  }
 }
 
 void Board::Boot() {
@@ -78,8 +90,8 @@ void Board::PumpRx() {
   while (!rx_pending_.empty() && rx_pending_.begin()->first <= now) {
     RxFrame& rx = rx_pending_.begin()->second;
     // kNicLoss injection point: the arbiter may drop a due frame instead of
-    // delivering it (models lossy links; only branched under cheriot_mc
-    // --inject-faults). The drop is observable: a kFrameDrop trace event, a
+    // delivering it (models lossy links; only branched under `cheriot mc
+    // --inject-faults`). The drop is observable: a kFrameDrop trace event, a
     // board counter, and a flow observation — not just retransmit echoes.
     const uint32_t seq = rx_frame_seq_++;
     if (arbiter_ != nullptr &&
@@ -233,6 +245,46 @@ BoardOptions DeserializeBoardOptions(snap::Reader& r) {
 
 }  // namespace
 
+void SerializeRecorderOptions(snap::Writer& w, const RecorderOptions& r) {
+  w.Bool(r.trace.has_value());
+  if (r.trace) {
+    w.U64(r.trace->ring_capacity);
+    w.Bool(r.trace->profile);
+  }
+  w.Bool(r.forensics.has_value());
+  if (r.forensics) {
+    w.U64(r.forensics->ring_capacity);
+    w.U64(r.forensics->reboot_history);
+    w.Bool(r.forensics->capture_crash_scene);
+    w.U64(r.forensics->scene_limit);
+  }
+  w.Bool(r.cov.has_value());
+  if (r.cov) {
+    w.Bool(r.cov->mmio_granules);
+  }
+}
+
+RecorderOptions DeserializeRecorderOptions(snap::Reader& r) {
+  RecorderOptions o;
+  if (r.Bool()) {
+    o.trace.emplace();
+    o.trace->ring_capacity = r.U64();
+    o.trace->profile = r.Bool();
+  }
+  if (r.Bool()) {
+    o.forensics.emplace();
+    o.forensics->ring_capacity = r.U64();
+    o.forensics->reboot_history = r.U64();
+    o.forensics->capture_crash_scene = r.Bool();
+    o.forensics->scene_limit = r.U64();
+  }
+  if (r.Bool()) {
+    o.cov.emplace();
+    o.cov->mmio_granules = r.Bool();
+  }
+  return o;
+}
+
 void Board::SerializeBoardSection(snap::Writer& w) const {
   w.Bool(booted_);
   w.U8(static_cast<uint8_t>(last_result_));
@@ -303,6 +355,21 @@ void Board::BuildStateSections(snap::Container& c) {
              [this](snap::Writer& w) { system_.alloc().SerializeState(w); });
   AddSection(c, snap::kSecBoard,
              [this](snap::Writer& w) { SerializeBoardSection(w); });
+}
+
+void Board::BuildRecorderSections(snap::Container& c) {
+  if (trace_ != nullptr) {
+    AddSection(c, snap::kSecTrace,
+               [this](snap::Writer& w) { trace_->SerializeState(w); });
+  }
+  if (forensics_ != nullptr) {
+    AddSection(c, snap::kSecForensics,
+               [this](snap::Writer& w) { forensics_->SerializeState(w); });
+  }
+  if (cov_ != nullptr) {
+    AddSection(c, snap::kSecCoverage,
+               [this](snap::Writer& w) { cov_->SerializeState(w); });
+  }
 }
 
 void Board::RestoreStateSections(const snap::Container& c) {
@@ -376,38 +443,12 @@ void Board::BuildSnapshotContainer(snap::Container& c) {
   }
   AddSection(c, snap::kSecOptions, [this](snap::Writer& w) {
     SerializeBoardOptions(w, options_);
-    w.Bool(trace_ != nullptr);
-    if (trace_ != nullptr) {
-      w.U64(trace_options_.ring_capacity);
-      w.Bool(trace_options_.profile);
-    }
-    w.Bool(forensics_ != nullptr);
-    if (forensics_ != nullptr) {
-      w.U64(forensics_options_.ring_capacity);
-      w.U64(forensics_options_.reboot_history);
-      w.Bool(forensics_options_.capture_crash_scene);
-      w.U64(forensics_options_.scene_limit);
-    }
-    w.Bool(cov_ != nullptr);
-    if (cov_ != nullptr) {
-      w.Bool(cov_options_.mmio_granules);
-    }
+    SerializeRecorderOptions(w, recorder_options_);
   });
   AddSection(c, snap::kSecBootInfo,
              [this](snap::Writer& w) { SerializeBootInfo(w, system_.boot()); });
   BuildStateSections(c);
-  if (trace_ != nullptr) {
-    AddSection(c, snap::kSecTrace,
-               [this](snap::Writer& w) { trace_->SerializeState(w); });
-  }
-  if (forensics_ != nullptr) {
-    AddSection(c, snap::kSecForensics,
-               [this](snap::Writer& w) { forensics_->SerializeState(w); });
-  }
-  if (cov_ != nullptr) {
-    AddSection(c, snap::kSecCoverage,
-               [this](snap::Writer& w) { cov_->SerializeState(w); });
-  }
+  BuildRecorderSections(c);
   AddSection(c, snap::kSecReplayLog, [this](snap::Writer& w) {
     w.U64(op_log_.size());
     for (const BoardOp& op : op_log_) {
@@ -440,37 +481,11 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
   const snap::Section& opts_sec = c.Require(snap::kSecOptions);
   snap::Reader opts(opts_sec.body);
   BoardOptions options = DeserializeBoardOptions(opts);
-  const bool has_trace = opts.Bool();
-  trace::TraceOptions trace_options;
-  if (has_trace) {
-    trace_options.ring_capacity = opts.U64();
-    trace_options.profile = opts.Bool();
-  }
-  const bool has_forensics = opts.Bool();
-  health::ForensicsOptions forensics_options;
-  if (has_forensics) {
-    forensics_options.ring_capacity = opts.U64();
-    forensics_options.reboot_history = opts.U64();
-    forensics_options.capture_crash_scene = opts.Bool();
-    forensics_options.scene_limit = opts.U64();
-  }
-  const bool has_cov = opts.Bool();
-  cov::CovOptions cov_options;
-  if (has_cov) {
-    cov_options.mmio_granules = opts.Bool();
-  }
+  const RecorderOptions recorders = DeserializeRecorderOptions(opts);
   opts.ExpectEnd("OPTS");
 
   auto board = std::make_unique<Board>(std::move(image), options);
-  if (has_trace) {
-    board->EnableTrace(trace_options);
-  }
-  if (has_forensics) {
-    board->EnableForensics(forensics_options);
-  }
-  if (has_cov) {
-    board->EnableCoverage(cov_options);
-  }
+  board->EnableRecorders(recorders);
 
   if (c.flags & snap::kColdRestorable) {
     // Direct restore: skip the loader, deserialize the boot-time capability
@@ -520,16 +535,7 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
   // state is caught here, not at cycle 10^9 of the resumed run.
   snap::Container check;
   board->BuildSnapshotContainer(check);
-  if (check.sections.size() != c.sections.size()) {
-    throw snap::SnapshotError("snapshot verify failed: section count");
-  }
-  for (size_t i = 0; i < c.sections.size(); ++i) {
-    if (check.sections[i].id != c.sections[i].id ||
-        check.sections[i].body != c.sections[i].body) {
-      throw snap::SnapshotError("snapshot verify failed at section " +
-                                snap::SectionName(c.sections[i].id));
-    }
-  }
+  snap::VerifySections(c, check, "snapshot");
   return board;
 }
 

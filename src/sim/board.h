@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,18 @@ struct BoardOptions {
 };
 
 EthernetDevice::Mac MacForIndex(int index);
+
+// The recorders attached to a board (or to every board of a fleet) and their
+// options; an empty slot means that recorder is off.
+struct RecorderOptions {
+  std::optional<trace::TraceOptions> trace;
+  std::optional<health::ForensicsOptions> forensics;
+  std::optional<cov::CovOptions> cov;
+};
+// The one encoding of RecorderOptions, shared by the board OPTS and fleet
+// FLET sections: per recorder a presence flag, then its options if present.
+void SerializeRecorderOptions(snap::Writer& w, const RecorderOptions& r);
+RecorderOptions DeserializeRecorderOptions(snap::Reader& r);
 
 class Board {
  public:
@@ -79,6 +92,9 @@ class Board {
   cov::CovRecorder* EnableCoverage(cov::CovOptions options = {});
   cov::CovRecorder* cov_recorder() { return cov_.get(); }
 
+  // Enables every recorder `r` holds, with its options.
+  void EnableRecorders(const RecorderOptions& r);
+
   void Boot();
 
   // Runs the guest forward to (at least) absolute cycle `target`. The clock
@@ -99,8 +115,8 @@ class Board {
   // provably cannot execute, transmit or change state inside that epoch.
   Cycles NextInterestingCycle();
 
-  // True if frames are staged for the next barrier exchange (the Fleet's
-  // dirty-list optimisation: only boards that transmitted are drained).
+  // True if frames are staged for the next barrier exchange (the Fleet
+  // drains only the boards for which this holds, in board-index order).
   bool has_staged_tx() const { return !tx_staged_.empty(); }
 
   // One transmitted frame with its TX cycle and host-side provenance. The
@@ -182,14 +198,13 @@ class Board {
   void set_op_log_enabled(bool on) { op_log_enabled_ = on; }
   size_t op_log_size() const { return op_log_.size(); }
 
-  // Restores board state sections from an already-parsed container onto a
-  // booted board (Fleet embedded-board restore; the Fleet replays control
-  // ops itself and then verifies). Not for standalone use.
-  void RestoreStateSections(const snap::Container& c);
   // Serializes the machine/kernel state sections (no OPTS/BOOT/RLOG) into
   // `c` — the building block shared by Snapshot(), the Fleet's embedded
   // per-board blobs and the forensics crash-scene capture.
   void BuildStateSections(snap::Container& c);
+  // Appends a TRCE, HLTH and COVG section for each attached recorder, in
+  // that order (Snapshot() and the Fleet's embedded per-board blobs).
+  void BuildRecorderSections(snap::Container& c);
 
   // Installs the schedule-exploration arbiter (src/kernel/schedule_arbiter.h)
   // on this board: kernel/scheduler decision points plus the board-level
@@ -226,8 +241,11 @@ class Board {
   // Creates a recorder, labels it with this board's index, keeps its
   // options for replay restore and attaches it to the machine.
   template <typename Recorder, typename Options>
-  Recorder* Enable(std::unique_ptr<Recorder>& slot, Options& saved,
-                   const Options& options);
+  Recorder* Enable(std::unique_ptr<Recorder>& slot,
+                   std::optional<Options>& saved, const Options& options);
+  // Lays the state sections of `c` onto a board booted from its BOOT
+  // section (the cold path of Restore()).
+  void RestoreStateSections(const snap::Container& c);
   void SerializeBoardSection(snap::Writer& w) const;
   void RestoreBoardSection(snap::Reader& r);
   // Full container for Snapshot(): OPTS + BOOT + state sections + recorder
@@ -256,10 +274,9 @@ class Board {
   bool op_log_enabled_ = true;
   ScheduleArbiter* arbiter_ = nullptr;
   uint32_t rx_frame_seq_ = 0;  // kNicLoss decision subject
-  // Recorder options as passed to Enable*(), re-applied on replay restore.
-  trace::TraceOptions trace_options_;
-  health::ForensicsOptions forensics_options_;
-  cov::CovOptions cov_options_;
+  // Recorder options as passed to Enable*(), written to OPTS so Restore()
+  // re-attaches the same recorders.
+  RecorderOptions recorder_options_;
 };
 
 }  // namespace cheriot::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/base/log.h"
@@ -10,6 +11,21 @@
 namespace cheriot::sim {
 
 namespace {
+
+// The per-board recorders FleetOptions asks for.
+RecorderOptions RecordersOf(const FleetOptions& o) {
+  RecorderOptions r;
+  if (o.trace) {
+    r.trace = o.trace_options;
+  }
+  if (o.forensics) {
+    r.forensics = o.forensics_options;
+  }
+  if (o.cov) {
+    r.cov = o.cov_options;
+  }
+  return r;
+}
 
 // Validates options before any member that depends on them is constructed
 // (the fabric and gateway are built in the member-initialiser list), so a
@@ -64,12 +80,9 @@ Fleet::Fleet(FleetOptions options)
 }
 
 Fleet::~Fleet() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
+  if (barrier_) {
+    shutdown_ = true;
+    barrier_->arrive_and_wait();
     for (auto& w : workers_) {
       w.join();
     }
@@ -92,15 +105,7 @@ int Fleet::AddBoard(FirmwareImage image) {
   // The fleet keeps one whole-fleet control log (Snapshot()); per-board
   // replay logs would duplicate it and grow without bound.
   board->set_op_log_enabled(false);
-  if (options_.trace) {
-    board->EnableTrace(options_.trace_options);
-  }
-  if (options_.forensics) {
-    board->EnableForensics(options_.forensics_options);
-  }
-  if (options_.cov) {
-    board->EnableCoverage(options_.cov_options);
-  }
+  board->EnableRecorders(RecordersOf(options_));
   if (options_.flow) {
     board->set_flow_staging(true);
   }
@@ -132,16 +137,6 @@ void Fleet::Boot() {
   // epoch is conservative and steps everyone, refreshing the cache with real
   // bounds.
   next_interesting_.assign(boards_.size(), 0);
-  worker_dirty_.resize(std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(std::max(options_.host_threads, 1)),
-                          boards_.size())));
-  // Should firmware ever stage frames during boot, drain them at the first
-  // barrier rather than losing them to the dirty-list optimisation.
-  for (size_t i = 0; i < boards_.size(); ++i) {
-    if (boards_[i]->has_staged_tx()) {
-      tx_dirty_.push_back(i);
-    }
-  }
   booted_ = true;
 }
 
@@ -202,107 +197,79 @@ void Fleet::BuildStepList(Cycles target) {
   boards_stepped_ += step_list_.size();
 }
 
-void Fleet::StartWorkers() {
-  const size_t n = std::min<size_t>(
-      static_cast<size_t>(options_.host_threads), boards_.size());
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-  if (worker_dirty_.size() < workers_.size()) {
-    worker_dirty_.resize(workers_.size());
+void Fleet::StartWorkers(size_t participants) {
+  barrier_.emplace(static_cast<std::ptrdiff_t>(participants));
+  for (size_t i = 1; i < participants; ++i) {
+    try {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    } catch (...) {
+      // A thread that failed to start never arrives; drop its place so the
+      // threads that did start (and the destructor) still meet.
+      for (; i < participants; ++i) {
+        barrier_->arrive_and_drop();
+      }
+      throw;
+    }
   }
 }
 
-void Fleet::WorkerLoop(size_t worker_id) {
-  uint64_t seen = 0;
+void Fleet::WorkerLoop() {
   for (;;) {
-    Cycles target;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) {
-        return;
-      }
-      seen = generation_;
-      target = step_target_;
+    barrier_->arrive_and_wait();  // start
+    if (shutdown_) {
+      return;
     }
-    try {
-      for (;;) {
-        const size_t k = next_step_.fetch_add(1);
-        if (k >= step_list_.size()) {
-          break;
-        }
-        const size_t i = step_list_[k];
-        boards_[i]->StepTo(target);
-        next_interesting_[i] = boards_[i]->NextInterestingCycle();
-        if (boards_[i]->has_staged_tx()) {
-          worker_dirty_[worker_id].push_back(i);
-        }
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!worker_error_) {
-        worker_error_ = std::current_exception();
-      }
+    StepShare(step_target_);
+    barrier_->arrive_and_wait();  // done
+  }
+}
+
+void Fleet::StepShare(Cycles target) {
+  try {
+    for (size_t k = next_step_.fetch_add(1); k < step_list_.size();
+         k = next_step_.fetch_add(1)) {
+      const size_t i = step_list_[k];
+      boards_[i]->StepTo(target);
+      next_interesting_[i] = boards_[i]->NextInterestingCycle();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--workers_running_ == 0) {
-        done_cv_.notify_all();
-      }
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    if (!step_error_) {
+      step_error_ = std::current_exception();
     }
   }
 }
 
 void Fleet::StepBoards(Cycles target) {
-  if (options_.host_threads <= 1 || boards_.size() <= 1) {
-    for (size_t i : step_list_) {
-      boards_[i]->StepTo(target);
-      next_interesting_[i] = boards_[i]->NextInterestingCycle();
-      if (boards_[i]->has_staged_tx()) {
-        worker_dirty_[0].push_back(i);
-      }
-    }
-    return;
+  const size_t participants = std::min<size_t>(
+      static_cast<size_t>(std::max(options_.host_threads, 1)), boards_.size());
+  if (participants > 1 && !barrier_) {
+    StartWorkers(participants);
   }
-  if (workers_.empty()) {
-    StartWorkers();
+  step_target_ = target;
+  next_step_.store(0);
+  if (barrier_) {
+    barrier_->arrive_and_wait();  // start
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_step_.store(0);
-    step_target_ = target;
-    workers_running_ = static_cast<int>(workers_.size());
-    ++generation_;
+  StepShare(target);
+  if (barrier_) {
+    barrier_->arrive_and_wait();  // done
   }
-  work_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return workers_running_ == 0; });
-    if (worker_error_) {
-      std::exception_ptr e = worker_error_;
-      worker_error_ = nullptr;
-      std::rethrow_exception(e);
-    }
+  if (step_error_) {
+    std::rethrow_exception(std::exchange(step_error_, nullptr));
   }
 }
 
 void Fleet::ExchangeFrames() {
-  // Sharded exchange: only boards that actually staged frames are drained.
-  // Workers claim boards in nondeterministic order, so the merged dirty list
-  // is sorted to restore the contract's board-index drain order. A board can
-  // appear at most once per epoch (one worker steps it once); the sort is
-  // over a handful of indices, not all N boards.
-  for (auto& dirty : worker_dirty_) {
-    tx_dirty_.insert(tx_dirty_.end(), dirty.begin(), dirty.end());
-    dirty.clear();
-  }
-  std::sort(tx_dirty_.begin(), tx_dirty_.end());
   // Observations from this epoch (deliveries/drops of frames transmitted at
   // earlier barriers) are fed to the flow recorder before this barrier's new
   // transmits, keeping the hook sequence in causal order.
   DrainFlowObservations();
-  for (size_t i : tx_dirty_) {
+  // Board-index drain order, whichever participant stepped which board.
+  for (size_t i = 0; i < boards_.size(); ++i) {
+    if (!boards_[i]->has_staged_tx()) {
+      continue;
+    }
     for (auto& [at, frame, flow] : boards_[i]->DrainTx()) {
       ++frames_exchanged_;
       if (flow_) {
@@ -311,7 +278,6 @@ void Fleet::ExchangeFrames() {
       fabric_.Transmit(board_ports_[i], at, frame, flow);
     }
   }
-  tx_dirty_.clear();
   std::stable_sort(gateway_inbox_.begin(), gateway_inbox_.end(),
                    [](const GatewayRx& a, const GatewayRx& b) {
                      return a.at < b.at;
@@ -394,11 +360,6 @@ void Fleet::CatchUp() {
     if (b.runnable() && b.Now() < now_) {
       b.StepTo(now_);
       next_interesting_[i] = b.NextInterestingCycle();
-      if (b.has_staged_tx()) {
-        // Unreachable for a truly parked board, but keep the dirty-list
-        // invariant: anything staged is drained at the next barrier.
-        tx_dirty_.push_back(i);
-      }
     }
   }
   // A frame injected at the final barrier may have been delivered during the
@@ -534,22 +495,7 @@ void Fleet::BuildSnapshotContainer(snap::Container& c) {
     w.Bool(options_.machine.uart_echo);
     w.U64(options_.system.tick_quantum);
     w.U64(options_.system.idle_chunk);
-    w.Bool(options_.trace);
-    if (options_.trace) {
-      w.U64(options_.trace_options.ring_capacity);
-      w.Bool(options_.trace_options.profile);
-    }
-    w.Bool(options_.forensics);
-    if (options_.forensics) {
-      w.U64(options_.forensics_options.ring_capacity);
-      w.U64(options_.forensics_options.reboot_history);
-      w.Bool(options_.forensics_options.capture_crash_scene);
-      w.U64(options_.forensics_options.scene_limit);
-    }
-    w.Bool(options_.cov);
-    if (options_.cov) {
-      w.Bool(options_.cov_options.mmio_granules);
-    }
+    SerializeRecorderOptions(w, RecordersOf(options_));
     w.U32(static_cast<uint32_t>(boards_.size()));
     w.U64(now_);
     w.U64(frames_exchanged_);
@@ -576,21 +522,7 @@ void Fleet::BuildSnapshotContainer(snap::Container& c) {
       bc.kind = snap::kBoard;
       bc.flags = snap::kEmbedded;
       board->BuildStateSections(bc);
-      if (auto* tr = board->trace_recorder()) {
-        snap::Writer tw;
-        tr->SerializeState(tw);
-        bc.sections.push_back({snap::kSecTrace, tw.Take()});
-      }
-      if (auto* fr = board->forensics_recorder()) {
-        snap::Writer fw;
-        fr->SerializeState(fw);
-        bc.sections.push_back({snap::kSecForensics, fw.Take()});
-      }
-      if (auto* cr = board->cov_recorder()) {
-        snap::Writer cw;
-        cr->SerializeState(cw);
-        bc.sections.push_back({snap::kSecCoverage, cw.Take()});
-      }
+      board->BuildRecorderSections(bc);
       w.Blob(bc.Assemble());
     }
     c.sections.push_back({snap::kSecFleetBoards, w.Take()});
@@ -654,22 +586,13 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
     o.machine.uart_echo = r.Bool();
     o.system.tick_quantum = r.U64();
     o.system.idle_chunk = r.U64();
-    o.trace = r.Bool();
-    if (o.trace) {
-      o.trace_options.ring_capacity = r.U64();
-      o.trace_options.profile = r.Bool();
-    }
-    o.forensics = r.Bool();
-    if (o.forensics) {
-      o.forensics_options.ring_capacity = r.U64();
-      o.forensics_options.reboot_history = r.U64();
-      o.forensics_options.capture_crash_scene = r.Bool();
-      o.forensics_options.scene_limit = r.U64();
-    }
-    o.cov = r.Bool();
-    if (o.cov) {
-      o.cov_options.mmio_granules = r.Bool();
-    }
+    const RecorderOptions rec = DeserializeRecorderOptions(r);
+    o.trace = rec.trace.has_value();
+    o.trace_options = rec.trace.value_or(o.trace_options);
+    o.forensics = rec.forensics.has_value();
+    o.forensics_options = rec.forensics.value_or(o.forensics_options);
+    o.cov = rec.cov.has_value();
+    o.cov_options = rec.cov.value_or(o.cov_options);
     board_count = r.U32();
     r.U64();  // now_: reproduced by the replay, compared by the verify
     r.U64();  // frames_exchanged_: ditto
@@ -722,16 +645,7 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
   // byte — boards, fabric, recorders and the rebuilt control log alike.
   snap::Container check;
   fleet->BuildSnapshotContainer(check);
-  if (check.sections.size() != c.sections.size()) {
-    throw snap::SnapshotError("fleet snapshot verify failed: section count");
-  }
-  for (size_t i = 0; i < c.sections.size(); ++i) {
-    if (check.sections[i].id != c.sections[i].id ||
-        check.sections[i].body != c.sections[i].body) {
-      throw snap::SnapshotError("fleet snapshot verify failed at section " +
-                                snap::SectionName(c.sections[i].id));
-    }
-  }
+  snap::VerifySections(c, check, "fleet snapshot");
   return fleet;
 }
 

@@ -1,6 +1,6 @@
 // Fleet: N Boards, one Gateway (ARP/DHCP/DNS/NTP/MQTT-broker services) and
 // the Fabric connecting them, advanced in conservative-lookahead lockstep
-// epochs on a host thread pool.
+// epochs on a host thread pool that the calling thread joins.
 //
 // Determinism contract: within an epoch, boards only execute — frames move
 // exclusively at the barrier between epochs, in board-index order, with the
@@ -14,7 +14,7 @@
 // overshoot itself is a deterministic function of the board's own history,
 // so the ε does not vary across runs or thread counts.)
 //
-// Three optimisations ride on top of that contract without changing a single
+// Two optimisations ride on top of that contract without changing a single
 // observable cycle (DESIGN.md §6.1):
 //   - Adaptive epoch coarsening: when every runnable board is provably idle
 //     past the conservative barrier, the epoch extends straight to the
@@ -23,17 +23,15 @@
 //   - Board parking: a board whose cached next interesting cycle lies beyond
 //     the epoch target is not stepped at all; its clock is caught up lazily
 //     (idle advance only) before Run/RunUntil return.
-//   - Sharded exchange: each worker keeps a dirty-list of boards that staged
-//     frames; the barrier drains only those, merged in board-index order,
-//     instead of scanning every board every epoch.
 #ifndef SRC_SIM_FLEET_H_
 #define SRC_SIM_FLEET_H_
 
 #include <atomic>
-#include <condition_variable>
+#include <barrier>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,8 +43,9 @@
 namespace cheriot::sim {
 
 struct FleetOptions {
-  // Host worker threads stepping boards within an epoch. 1 = run inline on
-  // the calling thread. The result is identical for any value.
+  // Host threads stepping boards within an epoch, the calling thread
+  // included: min(host_threads, boards) - 1 more are started. 1 = the
+  // calling thread alone. The result is identical for any value.
   int host_threads = 1;
   // Epoch length in simulated cycles; 0 = the minimum board link latency
   // (the largest sound value). Must not exceed the minimum link latency —
@@ -216,7 +215,12 @@ class Fleet {
   // Fills step_list_ with the runnable boards whose cached next interesting
   // cycle is not beyond `target`; counts the rest as parked.
   void BuildStepList(Cycles target);
+  // Steps step_list_ to `target` on the calling thread and, through the
+  // start and done phases of barrier_, on every pool thread.
   void StepBoards(Cycles target);
+  // One participant's share of an epoch: claims boards from step_list_
+  // through next_step_ until none are left. Keeps the first exception.
+  void StepShare(Cycles target);
   // Steps parked boards (idle advance only, by construction) up to now_ so
   // fingerprints and clocks match a non-fast-forward run bit for bit.
   void CatchUp();
@@ -228,8 +232,8 @@ class Fleet {
   // metrics_interval boundary since the last sample. No-op when flow is off.
   void SampleMetrics();
   void GatewayEmit(net::Bytes frame, flow::FlowId flow);
-  void StartWorkers();
-  void WorkerLoop(size_t worker_id);
+  void StartWorkers(size_t participants);
+  void WorkerLoop();
   // Appends a coalesced kAdvance{now_} when the clock moved since the last
   // logged op; called before every control op and before Snapshot() so the
   // log always ends at the snapshot's barrier.
@@ -261,16 +265,10 @@ class Fleet {
 
   // Cached Board::NextInterestingCycle per board, refreshed after each step
   // and clamped down when the fabric injects a frame. Only read/written at
-  // barriers or for boards owned by exactly one worker during an epoch.
+  // barriers or for boards owned by exactly one participant during an epoch.
   std::vector<Cycles> next_interesting_;
   // Boards to step this epoch (indices), rebuilt at each barrier.
   std::vector<size_t> step_list_;
-  // Per-worker dirty lists: boards that staged TX frames during the epoch.
-  // Slot 0 doubles as the inline (host_threads == 1) path's list. Merged and
-  // sorted into tx_dirty_ at the barrier so the drain order is board-index
-  // order regardless of which worker stepped what.
-  std::vector<std::vector<size_t>> worker_dirty_;
-  std::vector<size_t> tx_dirty_;
   uint64_t barriers_ = 0;
   uint64_t boards_stepped_ = 0;
   uint64_t boards_skipped_ = 0;
@@ -280,17 +278,17 @@ class Fleet {
   std::vector<FleetOp> fleet_log_;
   Cycles logged_now_ = 0;
 
-  // Persistent worker pool (started lazily when host_threads > 1).
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;
-  int workers_running_ = 0;
+  // Persistent pool (started lazily when host_threads > 1). The calling
+  // thread is participant 0 of barrier_; each epoch crosses it twice, at
+  // start and done. step_target_ and shutdown_ are written before the start
+  // phase and read after it.
+  std::optional<std::barrier<>> barrier_;
   Cycles step_target_ = 0;
   std::atomic<size_t> next_step_{0};
   bool shutdown_ = false;
-  std::exception_ptr worker_error_;
+  std::mutex error_mu_;
+  std::exception_ptr step_error_;  // guarded by error_mu_ while stepping
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace cheriot::sim

@@ -26,6 +26,20 @@ const Section& Container::Require(uint32_t id) const {
   return *s;
 }
 
+void VerifySections(const Container& snapshot, const Container& rebuilt,
+                    const std::string& what) {
+  if (rebuilt.sections.size() != snapshot.sections.size()) {
+    throw SnapshotError(what + " verify failed: section count");
+  }
+  for (size_t i = 0; i < snapshot.sections.size(); ++i) {
+    if (rebuilt.sections[i].id != snapshot.sections[i].id ||
+        rebuilt.sections[i].body != snapshot.sections[i].body) {
+      throw SnapshotError(what + " verify failed at section " +
+                          SectionName(snapshot.sections[i].id));
+    }
+  }
+}
+
 std::vector<uint8_t> Container::Assemble() const {
   Writer w;
   w.U64(kMagic);

@@ -105,6 +105,12 @@ struct Container {
   }
 };
 
+// Restore's self-check: `rebuilt` (the restored object re-serialized) must
+// hold exactly the sections of `snapshot`, byte for byte. Throws
+// SnapshotError("<what> verify failed ...") naming the first mismatch.
+void VerifySections(const Container& snapshot, const Container& rebuilt,
+                    const std::string& what);
+
 }  // namespace cheriot::snap
 
 #endif  // SRC_SNAP_SNAPSHOT_H_

@@ -1,8 +1,9 @@
-// Byte pins for every JSON exporter. Each document below is rendered from a
-// fixed, deterministic run and reduced to a 64-bit FNV-1a digest; the
-// expected digests were recorded before the JSON layer was last rewritten,
-// so a change to src/json or to any exporter that moves a single output byte
-// fails here, in tier-1, rather than only in the benchmark's digest.
+// Byte pins for every JSON exporter and for the CHERSNAP snapshot container.
+// Each document below is rendered from a fixed, deterministic run and reduced
+// to a 64-bit FNV-1a digest; the expected digests were recorded before the
+// code that writes them was last rewritten, so a change to src/json, to any
+// exporter or to a snapshot codec that moves a single output byte fails here,
+// in tier-1, rather than only in the benchmark's digest.
 //
 // If an exporter changes its output on purpose, re-record the digest it
 // prints on failure and say why in the commit.
@@ -10,6 +11,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +43,15 @@ std::string Fnv(const std::string& bytes) {
   return buf;
 }
 
+// The fleet pins are bytes of the default (fast-forward) barrier schedule.
+// With CHERIOT_FLEET_FAST_FORWARD=0 the barriers land elsewhere, so the
+// trace's idle spans and the barrier-sampled metrics differ; fingerprints do
+// not (tests/fleet_test.cpp).
+bool FastForwardForcedOff() {
+  const char* env = std::getenv("CHERIOT_FLEET_FAST_FORWARD");
+  return env != nullptr && std::string(env) == "0";
+}
+
 // 4 fleet-node boards on 2 host workers with every recorder on, driven the
 // way `cheriot cov` drives a fleet: a control publish partway through so
 // the boards' subscription path and the gateway fan-out both carry flows.
@@ -65,6 +76,9 @@ std::unique_ptr<sim::Fleet> RecordedFleet() {
 }
 
 TEST(ExportDigest, RecordedFleetExportsAreBytePinned) {
+  if (FastForwardForcedOff()) {
+    GTEST_SKIP() << "fast-forward forced off by environment";
+  }
   auto fleet = RecordedFleet();
   json::Array metrics;
   for (trace::TraceRecorder* tr : fleet->TraceRecorders()) {
@@ -102,6 +116,49 @@ TEST(ExportDigest, RecordedFleetExportsAreBytePinned) {
   EXPECT_EQ(Fnv(health::FleetHealthReport(*fleet).Dump(2)),
             "2585fd913cc36cbc")
       << "health report";
+}
+
+// CHERSNAP bytes: a whole-fleet snapshot (options, fabric, every embedded
+// board with its recorder rings, the control log) and a standalone board
+// snapshot with every recorder on. Both are also restored and re-snapshotted,
+// which must reproduce the pinned bytes.
+TEST(ExportDigest, FleetSnapshotIsBytePinned) {
+  auto fleet = RecordedFleet();
+  std::vector<uint8_t> blob;
+  fleet->Snapshot(blob);
+  if (!FastForwardForcedOff()) {
+    const std::string bytes(blob.begin(), blob.end());
+    EXPECT_EQ(Fnv(bytes), "f3445a6abfe6b747") << "fleet CHERSNAP";
+  }
+
+  const tools::Target* t = tools::FindTarget("fleet-node");
+  ASSERT_NE(t, nullptr);
+  auto restored = sim::Fleet::Restore(blob, [t](int) { return t->build(); }, 2);
+  std::vector<uint8_t> again;
+  restored->Snapshot(again);
+  EXPECT_EQ(again, blob);
+}
+
+TEST(ExportDigest, BoardSnapshotIsBytePinned) {
+  const tools::Target* t = tools::FindTarget("fleet-node");
+  ASSERT_NE(t, nullptr);
+  sim::Board board(t->build(), sim::BoardOptions{});
+  board.EnableTrace();
+  health::ForensicsOptions fo;
+  fo.capture_crash_scene = true;
+  board.EnableForensics(fo);
+  board.EnableCoverage();
+  board.Boot();
+  board.StepTo(cost::kCoreHz / 2);
+  std::vector<uint8_t> blob;
+  board.Snapshot(blob);
+  const std::string bytes(blob.begin(), blob.end());
+  EXPECT_EQ(Fnv(bytes), "939f9c513545cffd") << "board CHERSNAP";
+
+  auto restored = sim::Board::Restore(blob, t->build());
+  std::vector<uint8_t> again;
+  restored->Snapshot(again);
+  EXPECT_EQ(again, blob);
 }
 
 TEST(ExportDigest, McReportIsBytePinned) {

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -259,13 +260,14 @@ TEST(FleetDeterminismTest, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(serial.barriers, two.barriers);
   EXPECT_EQ(serial.barriers, four.barriers);
   // The busy burst lands on the same guest cycles and the same barrier
-  // count at 1, 2 and 4 workers, pinned exactly. RunUntil stops at a
-  // barrier, so the pin holds for the default (fast-forward) schedule.
+  // count at 1, 2, 3 and 4 workers, pinned exactly; 16 workers on its 8
+  // boards checks the clamp to one participant per board. RunUntil stops at
+  // a barrier, so the pin holds for the default (fast-forward) schedule.
   if (FastForwardForcedOff()) {
     return;
   }
   const std::vector<uint64_t> burst = {78'966'840, 1'118'480, 224};
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 3, 4, 16}) {
     EXPECT_EQ(BusyBurst(threads), burst) << threads << " worker(s)";
   }
 }
@@ -432,6 +434,11 @@ TEST(FleetTest, FabricGroupsTrackActualDeliveries) {
 }
 
 TEST(FleetTest, FastForwardEnvOverride) {
+  // Restore the caller's setting on the way out: later tests in this process
+  // read it (CI runs the suite with it forced on and forced off).
+  const char* caller = std::getenv("CHERIOT_FLEET_FAST_FORWARD");
+  const std::optional<std::string> saved =
+      caller ? std::optional<std::string>(caller) : std::nullopt;
   ASSERT_EQ(setenv("CHERIOT_FLEET_FAST_FORWARD", "0", 1), 0);
   {
     FleetOptions options;
@@ -446,7 +453,11 @@ TEST(FleetTest, FastForwardEnvOverride) {
     Fleet fleet(options);
     EXPECT_TRUE(fleet.fast_forward());
   }
-  ASSERT_EQ(unsetenv("CHERIOT_FLEET_FAST_FORWARD"), 0);
+  if (saved) {
+    ASSERT_EQ(setenv("CHERIOT_FLEET_FAST_FORWARD", saved->c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("CHERIOT_FLEET_FAST_FORWARD"), 0);
+  }
 }
 
 // Misconfigured epochs must die at construction, before any board exists —

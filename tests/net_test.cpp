@@ -51,8 +51,6 @@ class NetTest : public ::testing::Test {
     b.Thread("app", 2, 16 * 1024, 12, "app.main");
     system_ = std::make_unique<System>(*machine_, b.Build());
     system_->Boot();
-    done_ = false;
-    auto* done = &done_;
     // The net worker never exits; run until the app thread finishes.
     system_->RunUntil(
         [this] {
@@ -65,7 +63,6 @@ class NetTest : public ::testing::Test {
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<net::NetWorld> world_;
   std::unique_ptr<System> system_;
-  bool done_ = false;
 };
 
 TEST_F(NetTest, DhcpBringUp) {
