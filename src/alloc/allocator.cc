@@ -736,6 +736,7 @@ void Allocator::RestoreState(snap::Reader& r) {
   service_compartment_ = r.I32();
   live_native_ = r.U32();
   quarantined_native_ = r.U32();
+  quota_denials_ = 0;  // a host-side statistic, not in the snapshot
 }
 
 }  // namespace cheriot

@@ -142,6 +142,27 @@ uint64_t ForensicsRecorder::Record(CrashRecord record) {
   return seq;
 }
 
+void ForensicsRecorder::Reset() {
+  for (size_t i = 0; i < count_; ++i) {
+    ring_[(start_ + i) % ring_.size()] = CrashRecord();
+  }
+  start_ = 0;
+  count_ = 0;
+  recorded_ = 0;
+  dropped_ = 0;
+  next_seq_ = 0;
+  scene_seqs_.clear();
+  by_cause_.clear();
+  by_compartment_.clear();
+  by_disposition_.clear();
+  forced_unwinds_ = 0;
+  use_after_free_ = 0;
+  quota_exhaustions_ = 0;
+  quota_by_compartment_.clear();
+  reboots_.clear();
+  total_reboots_ = 0;
+}
+
 std::vector<CrashRecord> ForensicsRecorder::Records() const {
   std::vector<CrashRecord> out;
   out.reserve(count_);

@@ -150,6 +150,12 @@ class ForensicsRecorder : public Observer {
   // bounded by ForensicsOptions::scene_limit.
   uint64_t Record(CrashRecord record);
 
+  // Forgets everything recorded since boot — records, counters, aggregates
+  // and reboot history — and keeps what construction and boot set up:
+  // options, label, name tables and the scene hook. Board::ResetTo uses it
+  // to return the recorder to its post-boot state.
+  void Reset();
+
   // Scene capture hook, installed by Board::EnableForensics when
   // capture_crash_scene is set: returns a serialized machine-state bundle.
   // Must be a pure observer (no guest cycles, no simulated-memory reads

@@ -1,20 +1,20 @@
 // A guest thread: a statically-created schedulable entity with a simulated
 // stack, register state and a trusted stack (§3). Execution state is hosted
-// on a ucontext fiber so the whole system runs deterministically on one host
-// thread.
+// on a fiber (src/kernel/fiber.h) so the whole system runs deterministically
+// on one host thread.
 #ifndef SRC_KERNEL_GUEST_THREAD_H_
 #define SRC_KERNEL_GUEST_THREAD_H_
 
-#include <ucontext.h>
-
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/types.h"
 #include "src/cap/capability.h"
+#include "src/kernel/fiber.h"
 
 namespace cheriot {
 
@@ -75,8 +75,10 @@ class GuestThread {
   int entry_export = -1;
 
   // --- Host fiber ---
-  ucontext_t context{};
-  std::vector<uint8_t> host_stack;
+  FiberContext context;
+  // kHostStackBytes, allocated once and never zero-filled: a fiber writes
+  // its stack before it reads it.
+  std::unique_ptr<uint8_t[]> host_stack;
   bool started = false;
   void* tsan_fiber = nullptr;  // ThreadSanitizer fiber handle (TSan builds)
 
@@ -89,6 +91,7 @@ class GuestThread {
   uint32_t peak_stack_bytes = 0;
 
   static constexpr Cycles kNoDeadline = ~0ull;
+  static constexpr size_t kHostStackBytes = 256 * 1024;
 
   bool Runnable() const { return state == State::kReady; }
 };

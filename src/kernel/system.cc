@@ -1,6 +1,7 @@
 #include "src/kernel/system.h"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 
 #include "src/base/costs.h"
@@ -8,8 +9,8 @@
 #include "src/runtime/compartment_ctx.h"
 #include "src/snap/wire.h"
 
-// AddressSanitizer needs to be told about ucontext fiber switches or it
-// reports false stack-use-after-scope errors on every context switch (see
+// AddressSanitizer needs to be told about fiber switches or it reports false
+// stack-use-after-scope errors on every context switch (see
 // google/sanitizers#189).
 #if defined(__SANITIZE_ADDRESS__)
 #define CHERIOT_ASAN_FIBERS 1
@@ -20,6 +21,7 @@
 #endif
 #ifdef CHERIOT_ASAN_FIBERS
 #include <pthread.h>
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -40,8 +42,8 @@
 namespace cheriot {
 
 namespace {
-// ucontext trampolines take no arguments portably; the starting thread id is
-// staged in the active System. One System per host thread at any instant
+// Fiber entry points take no arguments; the starting thread id is staged in
+// the active System. One System per host thread at any instant
 // (Fleet epochs never step the same board concurrently), so thread_local is
 // exactly the right scope: parallel boards don't clobber each other's slot.
 thread_local System* g_active_system = nullptr;
@@ -218,21 +220,32 @@ void System::CreateThreads() {
     t.max_frames = layout.max_frames;
     t.entry_compartment = layout.entry_compartment;
     t.entry_export = layout.entry_export;
-    t.host_stack.resize(256 * 1024);
+    t.host_stack =
+        std::make_unique_for_overwrite<uint8_t[]>(GuestThread::kHostStackBytes);
     threads_.push_back(std::move(t));
   }
   for (auto& t : threads_) {
-    getcontext(&t.context);
-    t.context.uc_stack.ss_sp = t.host_stack.data();
-    t.context.uc_stack.ss_size = t.host_stack.size();
-    t.context.uc_link = &main_context_;
-    makecontext(&t.context, ThreadTrampoline, 0);
-#ifdef CHERIOT_TSAN_FIBERS
-    t.tsan_fiber = __tsan_create_fiber(0);
-#endif
+    ArmFiber(t);
     t.state = GuestThread::State::kSleeping;  // transitions to ready below
     sched_->MakeReady(t.id);
   }
+}
+
+void System::ArmFiber(GuestThread& t) {
+#ifdef CHERIOT_ASAN_FIBERS
+  // A re-armed stack may still carry the redzones of the frames abandoned on
+  // it; the new fiber's frames must not land on them.
+  ASAN_UNPOISON_MEMORY_REGION(t.host_stack.get(), GuestThread::kHostStackBytes);
+#endif
+  t.context.Arm(t.host_stack.get(), GuestThread::kHostStackBytes,
+                ThreadTrampoline);
+  t.started = false;
+#ifdef CHERIOT_TSAN_FIBERS
+  if (t.tsan_fiber != nullptr) {
+    __tsan_destroy_fiber(t.tsan_fiber);
+  }
+  t.tsan_fiber = __tsan_create_fiber(0);
+#endif
 }
 
 void System::RunThreadBody(int thread_id) {
@@ -245,6 +258,12 @@ void System::RunThreadBody(int thread_id) {
     LOG_INFO("thread %s force-unwound", t.name.c_str());
   } catch (TrapException& e) {
     LOG_WARN("thread %s died on unhandled trap: %s", t.name.c_str(), e.what());
+  } catch (const FiberTeardown&) {
+  }
+  if (teardown_thread_ == thread_id) {
+    // Unwound by TearDownFibers: hand control back to it for good.
+    teardown_thread_ = -1;
+    FiberSwap(&t.context, &main_context_, nullptr, /*from_dying=*/true);
   }
   t.state = GuestThread::State::kExited;
   sched_->RemoveFromReady(thread_id);
@@ -279,7 +298,7 @@ void System::SwitchTo(int next_id) {
     o->OnContextSwitch(prev, next_id);
   }
   machine_.Tick(cost::kContextSwitch);
-  ucontext_t* prev_ctx =
+  FiberContext* prev_ctx =
       prev >= 0 ? &threads_[prev].context : &main_context_;
   if (!next.started) {
     next.started = true;
@@ -303,8 +322,14 @@ void System::SwitchToIdle() {
   FiberSwap(&threads_[prev].context, &main_context_, nullptr, prev_dying);
 }
 
-void System::FiberSwap(ucontext_t* from, ucontext_t* to,
+void System::FiberSwap(FiberContext* from, FiberContext* to,
                        const GuestThread* target, bool from_dying) {
+  if (TearingDown(from)) {
+    if (std::uncaught_exceptions() == 0) {
+      throw FiberTeardown{};
+    }
+    return;  // a destructor running during the unwind; let it finish
+  }
 #ifdef CHERIOT_TSAN_FIBERS
   // Null target means "back to the main context" — the fiber of whichever
   // host thread entered Run() this epoch.
@@ -315,8 +340,8 @@ void System::FiberSwap(ucontext_t* from, ucontext_t* to,
   const void* bottom;
   size_t size;
   if (target) {
-    bottom = target->host_stack.data();
-    size = target->host_stack.size();
+    bottom = target->host_stack.get();
+    size = GuestThread::kHostStackBytes;
   } else {
     const auto& host = CurrentHostStackBounds();
     bottom = host.bottom;
@@ -325,13 +350,18 @@ void System::FiberSwap(ucontext_t* from, ucontext_t* to,
   // A dying fiber passes null so ASan frees its fake stack; it never resumes.
   __sanitizer_start_switch_fiber(from_dying ? nullptr : &fake_stack, bottom,
                                  size);
-  swapcontext(from, to);
+  FiberContext::Switch(*from, *to);
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #else
   (void)target;
   (void)from_dying;
-  swapcontext(from, to);
+  FiberContext::Switch(*from, *to);
 #endif
+  // Resumed by TearDownFibers: unwind from here, unless this fiber parked in
+  // the middle of another unwind, which then carries on instead.
+  if (TearingDown(from) && std::uncaught_exceptions() == 0) {
+    throw FiberTeardown{};
+  }
 }
 
 void System::ArmTimer() {
@@ -374,7 +404,8 @@ bool System::DeliverPendingIrqs(bool from_guest) {
 }
 
 void System::PreemptCheck() {
-  if (in_kernel_ || !booted_ || current_thread_id_ < 0) {
+  if (in_kernel_ || !booted_ || current_thread_id_ < 0 ||
+      teardown_thread_ >= 0) {
     return;
   }
   GuestThread& t = current_thread();
@@ -968,12 +999,37 @@ void System::BootFromSnapshot(snap::Reader& r) {
   CHERIOT_CHECK(machine_.observers().empty(),
                 "cold snapshot restore forbids attached observers");
   boot_ = DeserializeBootInfo(r);
-  boot_->image = std::move(image_);
+  // The serialized capability graph references the image's native closures
+  // only through def/state, which cannot cross a snapshot.
+  BindImage(std::move(image_));
 
-  // Rebind host-side handles: the serialized capability graph references the
-  // image's native closures only through def/state, which cannot cross a
-  // snapshot. Match by position and verify by name — the augmented image is
-  // rebuilt by the same deterministic code that produced the snapshot.
+  sched_ = std::make_unique<Scheduler>(&threads_, &machine_.observers());
+  switcher_ = std::make_unique<Switcher>(this);
+  alloc_ = std::make_unique<Allocator>(this);
+  token_ = std::make_unique<TokenService>(this);
+  // Init() re-derives the allocator's privileged heap capability and writes
+  // the initial heap header / clock ticks; the caller's subsequent section
+  // restores (SRAM, CLCK, ALOC) overwrite those effects with saved state.
+  alloc_->Init();
+  token_->Init();
+
+  const int sched_comp = boot_->CompartmentIndex("sched");
+  const Address sched_globals = boot_->compartments[sched_comp].globals_base;
+  for (size_t i = 0; i < static_cast<size_t>(IrqLine::kCount); ++i) {
+    sched_->SetInterruptFutexAddress(
+        static_cast<IrqLine>(i), sched_globals + 4 * static_cast<Address>(i));
+  }
+
+  CreateThreads();
+  machine_.memory().SetAccessHook(
+      [](void* self) { static_cast<System*>(self)->PreemptCheck(); }, this);
+  booted_ = true;
+}
+
+void System::BindImage(FirmwareImage image) {
+  boot_->image = std::move(image);
+  // Match by position and verify by name — the augmented image is rebuilt by
+  // the same deterministic code that produced the boot-time graph.
   if (boot_->compartments.size() != boot_->image.compartments.size()) {
     throw snap::SnapshotError("snapshot compartment count mismatch");
   }
@@ -999,28 +1055,41 @@ void System::BootFromSnapshot(snap::Reader& r) {
     }
     rt.def = &def;
   }
+}
 
-  sched_ = std::make_unique<Scheduler>(&threads_, &machine_.observers());
-  switcher_ = std::make_unique<Switcher>(this);
-  alloc_ = std::make_unique<Allocator>(this);
-  token_ = std::make_unique<TokenService>(this);
-  // Init() re-derives the allocator's privileged heap capability and writes
-  // the initial heap header / clock ticks; the caller's subsequent section
-  // restores (SRAM, CLCK, ALOC) overwrite those effects with saved state.
-  alloc_->Init();
-  token_->Init();
-
-  const int sched_comp = boot_->CompartmentIndex("sched");
-  const Address sched_globals = boot_->compartments[sched_comp].globals_base;
-  for (size_t i = 0; i < static_cast<size_t>(IrqLine::kCount); ++i) {
-    sched_->SetInterruptFutexAddress(
-        static_cast<IrqLine>(i), sched_globals + 4 * static_cast<Address>(i));
+void System::TearDownFibers() {
+  g_active_system = this;
+#ifdef CHERIOT_TSAN_FIBERS
+  main_tsan_fiber_ = __tsan_get_current_fiber();
+#endif
+  // Chosen up front: a switch attempted during an unwind can mark a thread
+  // started that never ran, and it has nothing to unwind.
+  std::vector<int> parked;
+  for (const GuestThread& t : threads_) {
+    if (t.started && t.state != GuestThread::State::kExited) {
+      parked.push_back(t.id);
+    }
   }
+  for (const int id : parked) {
+    GuestThread& t = threads_[static_cast<size_t>(id)];
+    teardown_thread_ = id;
+    current_thread_id_ = id;
+    in_kernel_ = false;
+    FiberSwap(&main_context_, &t.context, &t, false);
+    CHERIOT_CHECK(teardown_thread_ < 0, "fiber teardown did not finish");
+  }
+  current_thread_id_ = -1;
+}
 
-  CreateThreads();
-  machine_.memory().SetAccessHook(
-      [](void* self) { static_cast<System*>(self)->PreemptCheck(); }, this);
-  booted_ = true;
+void System::ResetForRestore(FirmwareImage image) {
+  CHERIOT_CHECK(booted_, "ResetForRestore before Boot()");
+  // Before the rebind: the frames being unwound still use the old image's
+  // closures and native state.
+  TearDownFibers();
+  BindImage(AugmentWithTcb(std::move(image)));
+  for (GuestThread& t : threads_) {
+    ArmFiber(t);
+  }
 }
 
 void System::SerializeState(snap::Writer& w) const {
@@ -1092,6 +1161,8 @@ void System::RestoreState(snap::Reader& r) {
   deadlocked_ = r.Bool();
   quantum_end_ = r.U64();
   run_deadline_ = r.U64();
+  irq_episode_consulted_ = false;
+  irq_defer_until_ = 0;
 
   const uint32_t n_threads = r.U32();
   if (n_threads != threads_.size()) {

@@ -64,10 +64,21 @@ class System {
   // visible scalars, every thread's guest-architectural fields, and the
   // compartments' mutable micro-reboot bookkeeping (kept here so the BOOT
   // section stays byte-identical over a board's lifetime). Host fiber state
-  // (ucontext, host_stack, tsan_fiber) is never serialized — restarted
-  // threads are reconstructed by replay or start cold.
+  // (fiber context, host_stack, tsan_fiber) is never serialized — restarted
+  // threads are reconstructed by replay or start cold. The arbiter's
+  // per-episode IRQ bookkeeping is host-side too and restarts clear.
   void SerializeState(snap::Writer& w) const;
   void RestoreState(snap::Reader& r);
+
+  // First half of an in-place reset (sim::Board::ResetTo): unwinds every
+  // started, unfinished thread's fiber (TearDownFibers), rebinds the
+  // compartments and libraries to `image` (a fresh build of the booted
+  // image, matched by name as BootFromSnapshot does) with new native state
+  // objects, and re-arms every thread's fiber as not started on its existing
+  // host stack. The guest state the unwinding disturbs is garbage the
+  // caller then overwrites by restoring the state sections. Must not be
+  // called from inside Run().
+  void ResetForRestore(FirmwareImage image);
 
   // Runs until every thread exits, the cycle budget is exhausted, or the
   // system deadlocks (all threads blocked with no pending event).
@@ -159,7 +170,23 @@ class System {
 
  private:
   FirmwareImage AugmentWithTcb(FirmwareImage image);
+  // Makes `image` (already augmented) the booted image: points every
+  // compartment and library runtime at its definition, by position and
+  // checked by name, and builds fresh native state objects.
+  void BindImage(FirmwareImage image);
   void CreateThreads();
+  // Arms `t`'s fiber to start the thread body at its next switch-in.
+  void ArmFiber(GuestThread& t);
+  // Resumes each started, unfinished thread with FiberTeardown thrown from
+  // the switch it is parked in, and waits for it to unwind back to
+  // RunThreadBody. While a thread is torn down nothing switches or
+  // preempts: switches it attempts return at once (or rethrow the teardown
+  // when no other exception is in flight) and PreemptCheck does nothing.
+  void TearDownFibers();
+  bool TearingDown(const FiberContext* from) const {
+    return teardown_thread_ >= 0 &&
+           from == &threads_[static_cast<size_t>(teardown_thread_)].context;
+  }
   // The name and grant tables handed to every observer's OnBoot.
   BootTables BuildBootTables();
   void SwitchTo(int thread_id);
@@ -167,8 +194,8 @@ class System {
   // All fiber switches go through here so AddressSanitizer can be told about
   // the stack change (fiber annotations); `target` is null when switching
   // back to the main context, `from_dying` when the departing fiber exits.
-  void FiberSwap(ucontext_t* from, ucontext_t* to, const GuestThread* target,
-                 bool from_dying);
+  void FiberSwap(FiberContext* from, FiberContext* to,
+                 const GuestThread* target, bool from_dying);
   void ArmTimer();
   // Bumps interrupt futex words for pending non-timer IRQs, wakes waiters;
   // handles timer expiry (wake sleepers, rotate quantum). Returns true if a
@@ -185,13 +212,15 @@ class System {
   std::unique_ptr<TokenService> token_;
   std::vector<GuestThread> threads_;
 
-  ucontext_t main_context_{};
+  FiberContext main_context_;
   // ThreadSanitizer fiber handle of the host thread currently inside Run();
   // re-captured at every Run() entry because a Fleet may step the same System
   // from different pool threads across epochs (never concurrently).
   void* main_tsan_fiber_ = nullptr;
   int current_thread_id_ = -1;
   int starting_thread_id_ = -1;
+  // The thread TearDownFibers is unwinding, or -1.
+  int teardown_thread_ = -1;
   // Thread parked by the cycle-transparent run-budget pause in
   // PreemptCheck(); Run() resumes it directly, bypassing the scheduler.
   int paused_thread_id_ = -1;

@@ -69,6 +69,8 @@ class RecordingArbiter : public ScheduleArbiter {
 // (device) accesses collapse onto one pseudo-granule recorded as a store:
 // two threads touching any MMIO never commute (UART byte order is guest-
 // visible). Stored stamps are `decision count + 1` so zero means untouched.
+// One table serves a whole exploration: Reset() clears only the granules the
+// last schedule touched.
 class Footprints {
  public:
   static constexpr int kMaxThreads = 16;
@@ -83,6 +85,16 @@ class Footprints {
   void Bind(System* system, const std::vector<Decision>* decisions) {
     system_ = system;
     decisions_ = decisions;
+  }
+
+  void Reset() {
+    for (uint32_t g : touched_) {
+      const size_t row = static_cast<size_t>(g) * kMaxThreads;
+      std::fill_n(loads_.begin() + row, kMaxThreads, 0);
+      std::fill_n(stores_.begin() + row, kMaxThreads, 0);
+      touched_flag_[g] = 0;
+    }
+    touched_.clear();
   }
 
   static void Observe(void* ctx, Address addr, Address size, bool is_store) {
@@ -199,34 +211,32 @@ std::string AnomalyKeyName(const std::pair<int, int>& key,
          " (compartment " + CompartmentLabel(key.second, names) + ")";
 }
 
-RunOutcome RunSchedule(const std::vector<uint8_t>& root_blob,
-                       const std::function<FirmwareImage()>& make_image,
+// Runs one schedule on `board`, which the caller has put in the root state.
+RunOutcome RunSchedule(sim::Board& board, Footprints& footprints,
                        const std::vector<int>& prefix, Cycles target) {
-  auto board = sim::Board::Restore(root_blob, make_image());
-  board->set_op_log_enabled(false);
   RecordingArbiter arbiter(prefix);
-  Memory& mem = board->machine().memory();
-  Footprints footprints(mem.sram_base(), mem.sram_size());
-  footprints.Bind(&board->system(), &arbiter.decisions());
-  board->SetArbiter(&arbiter);
+  Memory& mem = board.machine().memory();
+  footprints.Reset();
+  footprints.Bind(&board.system(), &arbiter.decisions());
+  board.SetArbiter(&arbiter);
   mem.SetAccessObserver(&Footprints::Observe, &footprints);
 
   RunOutcome out;
-  out.result = board->StepTo(target);
+  out.result = board.StepTo(target);
 
   mem.SetAccessObserver(nullptr, nullptr);
-  board->SetArbiter(nullptr);
+  board.SetArbiter(nullptr);
 
-  const sim::Board::Fingerprint fp = board->fingerprint();
+  const sim::Board::Fingerprint fp = board.fingerprint();
   out.uart_bytes = fp.uart_bytes;
   out.uart_hash = fp.uart_hash;
   out.reboots = fp.reboots;
-  if (auto* fr = board->forensics_recorder()) {
+  if (auto* fr = board.forensics_recorder()) {
     for (const health::CrashRecord& rec : fr->Records()) {
       out.trap_keys.emplace(static_cast<int>(rec.cause), rec.compartment);
     }
   }
-  const health::BoardHealth bh = health::AssessBoard(*board);
+  const health::BoardHealth bh = health::AssessBoard(board);
   for (const health::Anomaly& a : bh.anomalies) {
     // kStuckBoard duplicates the explorer's own deadlock oracle.
     if (a.detector != health::Detector::kStuckBoard) {
@@ -294,9 +304,11 @@ McReport Explore(const std::string& image_name,
   report.options = options;
 
   // Root snapshot: boot once with forensics attached (the trap oracle needs
-  // it, and attaching it here means every forked schedule inherits it
-  // through Restore). The snapshot is taken before any guest instruction
-  // runs, so its replay log is empty and restores are cheap re-boots.
+  // it, and attaching it here means the explored board inherits it through
+  // Restore). The snapshot is taken before any guest instruction runs, so
+  // its replay log is empty and its state sections describe the whole
+  // board: one Restore (with its full verify) builds the board, and every
+  // schedule starts from an in-place Board::ResetTo of the parsed root.
   std::vector<uint8_t> root_blob;
   std::vector<std::string> comp_names;
   for (const CompartmentDef& c : make_image().compartments) {
@@ -310,6 +322,11 @@ McReport Explore(const std::string& image_name,
     report.root_cycle = root.Now();
   }
   const Cycles target = report.root_cycle + options.cycles;
+  const snap::Container root = snap::Container::Parse(root_blob);
+  auto board = sim::Board::Restore(root_blob, make_image());
+  board->set_op_log_enabled(false);
+  Memory& mem = board->machine().memory();
+  Footprints footprints(mem.sram_base(), mem.sram_size());
 
   // Frontier of schedule prefixes, ordered by (non-default choice count,
   // insertion order): the first failure found is minimal.
@@ -340,8 +357,10 @@ McReport Explore(const std::string& image_name,
     const Entry entry = frontier.top();
     frontier.pop();
     const int schedule_index = report.schedules_explored;
-    RunOutcome out =
-        RunSchedule(root_blob, make_image, entry.prefix, target);
+    // The factory runs per schedule so state its closures hold (e.g. a
+    // FleetAppState) starts fresh, as it would on a restored board.
+    board->ResetTo(root, make_image());
+    RunOutcome out = RunSchedule(*board, footprints, entry.prefix, target);
     ++report.schedules_explored;
     if (!have_baseline) {
       baseline = out;

@@ -1,14 +1,16 @@
 // cheriot-mc: snapshot-forking systematic concurrency exploration
 // (DESIGN.md §12).
 //
-// The explorer boots a firmware image once, snapshots the board (the PR 7
-// container), then explores the schedule space by restore-and-replay: each
-// schedule is a fresh board restored from the root snapshot and run under a
-// recording arbiter that forces a prefix of schedule choices and takes the
-// default everywhere else. Every decision the kernel consults the arbiter
-// about (src/kernel/schedule_arbiter.h) is a branch point; alternatives are
-// enqueued into a frontier ordered by (non-default choice count, insertion
-// order), so the first failing schedule found is a minimal reproduction.
+// The explorer boots a firmware image once, snapshots the board (the
+// CHERSNAP container, DESIGN.md §10), restores one board from that root,
+// then explores the schedule space by reset-and-replay: before each schedule
+// the board is reset in place to the root (sim::Board::ResetTo) and run
+// under a recording arbiter that forces a prefix of schedule choices and
+// takes the default everywhere else. Every decision the kernel consults the
+// arbiter about (src/kernel/schedule_arbiter.h) is a branch point;
+// alternatives are enqueued into a frontier ordered by (non-default choice
+// count, insertion order), so the first failing schedule found is a minimal
+// reproduction.
 //
 // Partial-order reduction: while a schedule runs, a passive memory-access
 // observer harvests per-thread read/write footprints (8-byte granules; all
@@ -123,7 +125,8 @@ struct McReport {
 };
 
 // Explores `image`'s schedule space. The factory is invoked once per
-// schedule (Board::Restore needs a fresh host-side image each time).
+// schedule, so native state held by the image's closures starts fresh each
+// time, as on a board restored from the root.
 McReport Explore(const std::string& image_name,
                  const std::function<FirmwareImage()>& make_image,
                  const McOptions& options = {});

@@ -327,8 +327,13 @@ void Memory::RestoreState(snap::Reader& r) {
     throw snap::SnapshotError("SRAM geometry mismatch");
   }
   r.BytesInto(bytes_.data(), bytes_.size());
+  // Untagged shadow slots are never read, so only the slots tagged before
+  // the restore need clearing — not the whole array.
+  for (size_t g = tags_.FindNextSet(0); g != Bitmap::npos;
+       g = tags_.FindNextSet(g + 1)) {
+    shadow_[g] = Capability();
+  }
   RestoreBitmapWords(r, tags_);
-  std::fill(shadow_.begin(), shadow_.end(), Capability());
   for (size_t g = tags_.FindNextSet(0); g != Bitmap::npos;
        g = tags_.FindNextSet(g + 1)) {
     if (r.U64() != g) {

@@ -1,5 +1,6 @@
 #include "src/net/crypto.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cheriot::net::crypto {
@@ -199,6 +200,15 @@ DhKeyPair DhGenerate(uint64_t entropy) {
 
 uint64_t DhShared(uint64_t secret, uint64_t peer_public) {
   return PowMod(peer_public, secret, kDhPrime);
+}
+
+Digest HandshakeSalt(const Digest& client_random,
+                     const Digest& server_random) {
+  std::array<uint8_t, 2 * sizeof(Digest)> input{};
+  std::copy(client_random.begin(), client_random.end(), input.begin());
+  std::copy(server_random.begin(), server_random.end(),
+            input.begin() + sizeof(Digest));
+  return Sha256(input.data(), input.size());
 }
 
 Key DeriveKey(uint64_t shared, const Digest& salt, const char* label) {

@@ -36,6 +36,10 @@ struct DhKeyPair {
 DhKeyPair DhGenerate(uint64_t entropy);
 uint64_t DhShared(uint64_t secret, uint64_t peer_public);
 
+// The TLS-lite handshake salt, SHA256(client_random || server_random); the
+// client and the gateway both derive their session keys from it.
+Digest HandshakeSalt(const Digest& client_random, const Digest& server_random);
+
 // HKDF-ish key derivation: key = HMAC(salt, shared || label).
 Key DeriveKey(uint64_t shared, const Digest& salt, const char* label);
 

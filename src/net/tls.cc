@@ -240,10 +240,8 @@ void AddTlsCompartment(ImageBuilder& image, const NetStackOptions& options) {
           server_pub |= static_cast<uint64_t>(body[32 + i]) << (8 * i);
         }
         const uint64_t shared = crypto::DhShared(kp.secret, server_pub);
-        Bytes salt_input(client_random.begin(), client_random.end());
-        salt_input.insert(salt_input.end(), server_random.begin(),
-                          server_random.end());
-        const crypto::Digest salt = crypto::Sha256(salt_input);
+        const crypto::Digest salt =
+            crypto::HandshakeSalt(client_random, server_random);
         s.key_c2s = crypto::DeriveKey(shared, salt, "c2s");
         s.key_s2c = crypto::DeriveKey(shared, salt, "s2c");
         s.mac_key = crypto::DeriveKey(shared, salt, "mac");

@@ -353,11 +353,8 @@ void Gateway::TlsServerInput(TcpConn& conn) {
       const uint64_t shared = crypto::DhShared(kp.secret, client_pub);
       crypto::Digest server_random =
           crypto::Sha256(reinterpret_cast<const uint8_t*>(&entropy_), 8);
-      // salt = SHA256(client_random || server_random)
-      Bytes salt_input(client_random.begin(), client_random.end());
-      salt_input.insert(salt_input.end(), server_random.begin(),
-                        server_random.end());
-      const crypto::Digest salt = crypto::Sha256(salt_input);
+      const crypto::Digest salt =
+          crypto::HandshakeSalt(client_random, server_random);
       conn.key_c2s = crypto::DeriveKey(shared, salt, "c2s");
       conn.key_s2c = crypto::DeriveKey(shared, salt, "s2c");
       conn.mac_key = crypto::DeriveKey(shared, salt, "mac");

@@ -377,6 +377,7 @@ void Scheduler::RestoreState(snap::Reader& r) {
   }
   idle_cycles_ = r.U64();
   block_seq_counter_ = r.U64();
+  futex_waits_ = 0;  // a host-side statistic, not in the snapshot
 }
 
 }  // namespace cheriot

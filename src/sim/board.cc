@@ -539,6 +539,48 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
   return board;
 }
 
+void Board::ResetTo(const snap::Container& root, FirmwareImage image) {
+  if (root.kind != snap::kBoard || (root.flags & snap::kEmbedded)) {
+    throw snap::SnapshotError(
+        "in-place reset needs a standalone board snapshot");
+  }
+  snap::Writer opts;
+  SerializeBoardOptions(opts, options_);
+  SerializeRecorderOptions(opts, recorder_options_);
+  if (opts.Take() != root.Require(snap::kSecOptions).body) {
+    throw snap::SnapshotError("in-place reset onto a board with other options");
+  }
+  if (trace_ != nullptr || cov_ != nullptr) {
+    throw snap::SnapshotError(
+        "in-place reset supports the forensics recorder only");
+  }
+  snap::Reader log(root.Require(snap::kSecReplayLog).body);
+  if (log.U64() != 0) {
+    throw snap::SnapshotError(
+        "in-place reset needs a snapshot taken before any StepTo/InjectAt");
+  }
+  system_.ResetForRestore(std::move(image));
+  // Host-side state that no section carries starts empty, exactly as on a
+  // board restored from `root` (whose replay log is empty). After the
+  // fiber teardown above, which may still tick the clock and pump frames.
+  flow_obs_.clear();
+  nic_tx_frames_ = 0;
+  nic_rx_frames_ = 0;
+  nic_frames_dropped_ = 0;
+  rx_frame_seq_ = 0;
+  op_log_.clear();
+  RestoreStateSections(root);
+  for (const GuestThread& t : system_.threads()) {
+    if (t.started) {
+      throw snap::SnapshotError(
+          "in-place reset needs a snapshot taken before any thread started");
+    }
+  }
+  if (forensics_ != nullptr) {
+    forensics_->Reset();
+  }
+}
+
 Board::Fingerprint Board::fingerprint() {
   Fingerprint fp;
   fp.now = machine_.clock().now();

@@ -190,6 +190,20 @@ class Board {
     return Restore(blob.data(), blob.size(), std::move(image));
   }
 
+  // In-place reset: returns this board to the state `root` holds without
+  // rebuilding it — the Machine, its SRAM and the fibers' host stacks are
+  // reused, so resetting costs a copy of the state sections instead of a
+  // Restore(). `root` is a parsed snapshot of this same board (same OPTS)
+  // taken before its first guest instruction (empty replay log, no thread
+  // started): then the state sections describe everything and no live fiber
+  // needs replaying. `image` is a fresh build of the board's image;
+  // compartment closures and native state are rebound to it as Restore()
+  // would. Thread fibers are re-armed as not started and the forensics
+  // recorder (the only recorder allowed) goes back to its post-boot state.
+  // There is no verify: tests/mc_test.cpp holds the result to the bytes of
+  // Restore(). Throws snap::SnapshotError when `root` does not qualify.
+  void ResetTo(const snap::Container& root, FirmwareImage image);
+
   // The replay log records every external input (StepTo / InjectAt) so a
   // mid-run snapshot can be restored by re-execution. On by default; the
   // Fleet disables it per board (it keeps its own whole-fleet control log),

@@ -165,6 +165,10 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
   Capability result;
   bool rethrow_forced = false;
   int forced_target = -1;
+  // A fiber teardown (System::TearDownFibers) also takes the return path,
+  // so the frames outside this call unwind with the caller's compartment
+  // restored, as they would after any other unwind; then it carries on.
+  bool tearing_down = false;
   {
     CompartmentCtx callee_ctx(system_, &t, callee_id);
     try {
@@ -184,6 +188,8 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
       result = StatusCap(Status::kCompartmentFail);
     } catch (UnwindException&) {
       result = StatusCap(Status::kCompartmentFail);
+    } catch (const FiberTeardown&) {
+      tearing_down = true;
     } catch (ForcedUnwindException& f) {
       result = StatusCap(Status::kCompartmentFail);
       if (f.target_compartment == callee_id) {
@@ -237,6 +243,9 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
     system_->CheckDeferredResched();
   }
 
+  if (tearing_down) {
+    throw FiberTeardown{};
+  }
   if (rethrow_forced) {
     throw ForcedUnwindException{forced_target};
   }
@@ -313,6 +322,8 @@ ErrorRecovery Switcher::DeliverTrap(GuestThread& t, CompartmentCtx& ctx,
   ErrorRecovery recovery;
   try {
     recovery = rt.def->error_handler(ctx, *info);
+  } catch (const FiberTeardown&) {
+    throw;
   } catch (...) {
     // A buggy handler faulting falls back to the default unwind policy.
     ctx.in_error_handler_ = false;

@@ -32,6 +32,12 @@ struct ForcedUnwindException {
   int target_compartment;
 };
 
+// Thrown into a parked guest fiber to unwind its whole host stack when the
+// System is reset in place (System::ResetForRestore), so the objects its
+// frames own are destroyed rather than leaked. Host-side only, never a
+// guest-visible event: a `catch (...)` on a guest stack must rethrow it.
+struct FiberTeardown {};
+
 class Switcher {
  public:
   explicit Switcher(System* system) : system_(system) {}

@@ -172,6 +172,61 @@ TEST(ExportDigest, McReportIsBytePinned) {
   EXPECT_EQ(Fnv(report.ToJson().Dump(2)), "953a8251d856906b");
 }
 
+// Every registry image's report under the `cheriot mc` defaults, without and
+// with fault injection, so nothing about how the explorer returns its board
+// to the root between schedules can move a report unseen. A registry image
+// without a pin fails the test.
+TEST(ExportDigest, McReportOfEveryImageIsBytePinned) {
+  struct Pin {
+    const char* image;
+    bool inject_faults;
+    const char* digest;
+  };
+  const Pin kPins[] = {
+      {"cov-overprivileged", false, "7f8b86b694dc181a"},
+      {"cov-overprivileged", true, "8e4b91671bd68ac3"},
+      {"fault-tolerance", false, "d97b15618e8b6140"},
+      {"fault-tolerance", true, "bd82a38086648401"},
+      {"fleet-node", false, "8c380038af872d64"},
+      {"fleet-node", true, "3ef9ee9f1e17311a"},
+      {"http-firmware", false, "b81f41ef102ed604"},
+      {"http-firmware", true, "0c09af0e4346aead"},
+      {"http-firmware-backdoored", false, "fc2be4e0dee9ae3b"},
+      {"http-firmware-backdoored", true, "f8010b1a5f1db090"},
+      {"iot-mqtt-app", false, "ac03acaf1af5349c"},
+      {"iot-mqtt-app", true, "3341301db678cf42"},
+      {"producer-consumer", false, "f4c725dde339b759"},
+      {"producer-consumer", true, "b84ff6f4afe92e4e"},
+      {"quickstart", false, "6f4d47247e43921d"},
+      {"quickstart", true, "19146bac40b80fba"},
+      {"seeded-lost-wake", false, "7611a6116b37f524"},
+      {"seeded-lost-wake", true, "fa0691e0211a5d3f"},
+      {"seeded-quota-race", false, "bb14264bcc327e0e"},
+      {"seeded-quota-race", true, "48b973ebc6829314"},
+      {"seeded-uaf", false, "b97c14a6df1eaf4d"},
+      {"seeded-uaf", true, "9623705f75247a10"},
+      {"seeded-wake-order", false, "4cd01f9484854c33"},
+      {"seeded-wake-order", true, "e585f811a44fb96a"},
+  };
+  for (const tools::Target& t : tools::Targets()) {
+    for (const bool inject : {false, true}) {
+      const std::string label =
+          t.name + (inject ? " --inject-faults" : "");
+      const Pin* pin = nullptr;
+      for (const Pin& p : kPins) {
+        if (t.name == p.image && inject == p.inject_faults) {
+          pin = &p;
+        }
+      }
+      ASSERT_NE(pin, nullptr) << "no McReport pin for " << label;
+      mc::McOptions o;
+      o.inject_faults = inject;
+      const mc::McReport report = mc::Explore(t.name, t.build, o);
+      EXPECT_EQ(Fnv(report.ToJson().Dump(2)), pin->digest) << label;
+    }
+  }
+}
+
 TEST(ExportDigest, LintFindingsAreBytePinned) {
   const tools::Target* t = tools::FindTarget("http-firmware-backdoored");
   ASSERT_NE(t, nullptr);

@@ -1,7 +1,13 @@
 // Integration tests for the running system: compartment calls and isolation,
 // trap handling and error-handler policies, threads, futexes, the allocator
-// with quotas/quarantine/claims, the token API and micro-reboots.
+// with quotas/quarantine/claims, the token API, micro-reboots and the host
+// fiber contract (floating-point control state and C++ exceptions stay with
+// the fiber that owns them).
 #include <gtest/gtest.h>
+
+#include <cfenv>
+#include <stdexcept>
+#include <string>
 
 #include "src/rtos.h"
 
@@ -531,6 +537,107 @@ TEST_F(KernelTest, DeadlockDetected) {
   System sys(machine_, b.Build());
   sys.Boot();
   EXPECT_EQ(sys.Run(1'000'000'000ull), System::RunResult::kDeadlock);
+}
+
+// --- Host fiber contract (src/kernel/fiber.h) ------------------------------
+
+// 1/3 computed at run time in SSE (volatile operands, its own frame), so the
+// result reflects the MXCSR rounding mode of whichever fiber calls it.
+[[gnu::noinline]] double OneThird() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+constexpr double kOneThirdNearest = 0x1.5555555555555p-2;
+
+// A guest thread rounds upward and blocks. fegetround() reads the x87
+// control word and OneThird() depends on MXCSR, so a switch that skipped
+// either would leak the guest's mode into the host context, or lose it
+// across the block.
+TEST_F(KernelTest, FiberKeepsItsOwnFloatingPointControlState) {
+  struct Seen {
+    int mode = -1;
+    double third = 0;
+  };
+  auto seen = std::make_shared<Seen>();
+  ImageBuilder b("fp-env");
+  b.Compartment("fp")
+      .ImportCompartment("sched.sleep")
+      .Export("main", [seen](CompartmentCtx& ctx,
+                             const std::vector<Capability>&) {
+        std::fesetround(FE_UPWARD);
+        ctx.SleepCycles(1'000'000);
+        seen->mode = std::fegetround();
+        seen->third = OneThird();
+        std::fesetround(FE_TONEAREST);
+        return StatusCap(Status::kOk);
+      });
+  b.Thread("t", 1, 2048, 4, "fp.main");
+  System sys(machine_, b.Build());
+  sys.Boot();
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  ASSERT_EQ(sys.Run(100'000), System::RunResult::kBudgetExhausted);
+  // The guest is asleep with FE_UPWARD set; the host context is untouched.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(OneThird(), kOneThirdNearest);
+  EXPECT_EQ(sys.Run(100'000'000), System::RunResult::kAllExited);
+  EXPECT_EQ(seen->mode, FE_UPWARD);
+  EXPECT_GT(seen->third, kOneThirdNearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+// Two threads yield to each other thousands of times, throwing and catching
+// an exception every round, with a switch between try and throw and
+// another while the exception is caught — the way a trap handler runs guest
+// code inside the switcher's catch block. Each catch must see its own
+// exception, intact and as the one a rethrow finds, after the other thread
+// has thrown and caught its own.
+TEST_F(KernelTest, ExceptionsUnwindInsideFibersAcrossSwitches) {
+  constexpr int kRounds = 2'000;
+  struct Tally {
+    int caught[2] = {0, 0};
+    int wrong = 0;
+  };
+  auto tally = std::make_shared<Tally>();
+  auto player = [tally](int who) {
+    return [tally, who](CompartmentCtx& ctx, const std::vector<Capability>&) {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string expect = std::to_string(who) + ":" +
+                                   std::to_string(i);
+        try {
+          ctx.Yield();
+          throw std::runtime_error(expect);
+        } catch (const std::runtime_error& e) {
+          ctx.Yield();
+          tally->wrong += e.what() != expect;
+          tally->wrong += std::uncaught_exceptions() != 0;
+          // A rethrow takes the innermost caught exception of the running
+          // context, which must still be this fiber's own.
+          try {
+            throw;
+          } catch (const std::runtime_error& again) {
+            tally->wrong += again.what() != expect;
+          }
+          ++tally->caught[who];
+        }
+      }
+      return StatusCap(Status::kOk);
+    };
+  };
+  ImageBuilder b("fiber-exceptions");
+  b.Compartment("app")
+      .ImportCompartment("sched.yield")
+      .Export("a", player(0))
+      .Export("b", player(1));
+  b.Thread("a", 2, 2048, 4, "app.a");
+  b.Thread("b", 2, 2048, 4, "app.b");
+  System sys(machine_, b.Build());
+  sys.Boot();
+  EXPECT_EQ(sys.Run(~0ull), System::RunResult::kAllExited);
+  EXPECT_EQ(tally->caught[0], kRounds);
+  EXPECT_EQ(tally->caught[1], kRounds);
+  EXPECT_EQ(tally->wrong, 0);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
 }
 
 }  // namespace

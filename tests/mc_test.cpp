@@ -5,12 +5,15 @@
 // survival across snapshot/restore, the explorer finding each seeded
 // concurrency bug with a minimal (single forced choice) reproduction, the
 // shipped fleet image coming back clean with meaningful partial-order
-// pruning, snapshot diffs naming the first divergent section and offset,
-// and mid-run snapshot replay determinism under TCP loss injection.
+// pruning, the explorer's in-place board reset matching a fresh restore on
+// every registry image and unwinding the fibers it abandons, snapshot diffs naming the first divergent section
+// and offset, and mid-run snapshot replay determinism under TCP loss
+// injection.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/base/costs.h"
@@ -206,6 +209,199 @@ TEST(McTest, ReportJsonIsByteStableAcrossRuns) {
   const std::string b =
       mc::Explore(t->name, t->build, FastOptions()).ToJson().Dump(2);
   EXPECT_EQ(a, b);
+}
+
+// --- In-place reset (Board::ResetTo) is a fresh restore ------------------
+
+// Takes the non-default choice at every third decision, offset by `phase`,
+// so allocation failures, NIC losses, sync preemptions, IRQ deferrals and
+// reordered wakes land somewhere across the runs.
+class PatternArbiter : public ScheduleArbiter {
+ public:
+  explicit PatternArbiter(int phase) : phase_(phase) {}
+  int Choose(DecisionKind kind, uint32_t subject, int n_choices) override {
+    const int chosen = (count_++ + phase_) % 3 == 0 ? n_choices - 1 : 0;
+    log.push_back({kind, subject, chosen});
+    return chosen;
+  }
+  std::vector<std::tuple<DecisionKind, uint32_t, int>> log;
+
+ private:
+  int phase_;
+  int count_ = 0;
+};
+
+// One schedule of the reset test. A frame arrives early, so NIC-loss
+// decisions and the board's NIC counters are in play, and the run stops at
+// a phase-dependent cycle, so some runs end inside a deferred-interrupt
+// episode. Returns the board's snapshot at the end of the run.
+std::vector<uint8_t> RunPattern(Board& board, Cycles root_cycle, int phase,
+                                PatternArbiter& arbiter) {
+  board.SetArbiter(&arbiter);
+  board.InjectAt(root_cycle + 5'000,
+                 Board::Frame(64, static_cast<uint8_t>(0xA0 + phase)));
+  board.StepTo(root_cycle + 2'000'000 + 7'919 * static_cast<Cycles>(phase));
+  board.SetArbiter(nullptr);
+  std::vector<uint8_t> blob;
+  board.Snapshot(blob);
+  return blob;
+}
+
+// Two same-priority threads load in a loop for longer than any run, so
+// timer interrupts arrive while guest code runs: the kIrqDelivery decision
+// point, which no registry image reaches in these runs.
+FirmwareImage SpinnersImage() {
+  ImageBuilder b("spinners");
+  b.Compartment("spin").Globals(16).Export(
+      "main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
+        for (int i = 0; i < 10'000'000; ++i) {
+          ctx.LoadWord(ctx.globals(), 0);
+        }
+        return StatusCap(Status::kOk);
+      });
+  b.Thread("s0", 2, 2048, 4, "spin.main");
+  b.Thread("s1", 2, 2048, 4, "spin.main");
+  return b.Build();
+}
+
+// The explorer replaced its per-schedule Restore() — and that restore's
+// verify — with ResetTo, so this is the check that the reset is exact: for
+// every registry image and the spinners, a board that ran fault-injecting,
+// preempting schedules and was reset must snapshot to the bytes of a fresh
+// Restore(root, image), and must then run the next schedule exactly as a
+// fresh board does (same decisions, same snapshot afterwards).
+TEST(McTest, InPlaceResetMatchesAFreshRestoreOnEveryImage) {
+  std::vector<tools::Target> images = tools::Targets();
+  images.push_back({"spinners", "", true, SpinnersImage});
+  for (const tools::Target& t : images) {
+    std::vector<uint8_t> root_blob;
+    Cycles root_cycle = 0;
+    {
+      Board root(t.build(), {});
+      root.EnableForensics();
+      root.Boot();
+      root.Snapshot(root_blob);
+      root_cycle = root.Now();
+    }
+    const snap::Container root = snap::Container::Parse(root_blob);
+    std::vector<uint8_t> fresh_bytes;
+    Board::Restore(root_blob, t.build())->Snapshot(fresh_bytes);
+
+    auto board = Board::Restore(root_blob, t.build());
+    int non_default = 0;
+    for (int phase = 0; phase < 6; ++phase) {
+      const std::string label = t.name + " phase " + std::to_string(phase);
+      PatternArbiter reused_arbiter(phase);
+      const std::vector<uint8_t> reused_run =
+          RunPattern(*board, root_cycle, phase, reused_arbiter);
+      PatternArbiter fresh_arbiter(phase);
+      const std::vector<uint8_t> fresh_run =
+          RunPattern(*Board::Restore(root_blob, t.build()), root_cycle, phase,
+                     fresh_arbiter);
+      EXPECT_EQ(reused_arbiter.log, fresh_arbiter.log) << label;
+      EXPECT_TRUE(snap::DiffBlobs(fresh_run, reused_run).equal)
+          << label << ": " << snap::DiffBlobs(fresh_run, reused_run).summary;
+      for (const auto& [kind, subject, chosen] : reused_arbiter.log) {
+        non_default += chosen != 0;
+      }
+
+      board->ResetTo(root, t.build());
+      std::vector<uint8_t> reset_bytes;
+      board->Snapshot(reset_bytes);
+      EXPECT_TRUE(snap::DiffBlobs(fresh_bytes, reset_bytes).equal)
+          << label << ": " << snap::DiffBlobs(fresh_bytes, reset_bytes).summary;
+    }
+    // The Nop-entry images exit within a few hundred cycles, before any
+    // decision point; every image with real guest code must branch.
+    if (t.name == "fleet-node" || t.name == "iot-mqtt-app" ||
+        t.name == "spinners" || t.name.rfind("seeded-", 0) == 0) {
+      EXPECT_GT(non_default, 0) << t.name << " took no non-default choice";
+    }
+  }
+}
+
+// ResetTo unwinds the fibers it abandons, so what their frames own is freed
+// rather than leaked once per schedule. `low` parks holding a lock and an
+// object only its frame owns; `high` parks waiting for the lock. Unwinding
+// `low` runs the lock guard's release — guest code that wakes the
+// higher-priority `high` — which must neither switch nor throw.
+TEST(McTest, InPlaceResetUnwindsParkedFibers) {
+  struct Probe {
+    std::vector<std::weak_ptr<int>> frames;
+  };
+  auto probe = std::make_shared<Probe>();
+  const auto build = [probe] {
+    ImageBuilder b("parked");
+    b.Compartment("app")
+        .Globals(64)
+        .Export("high",
+                [probe](CompartmentCtx& ctx, const std::vector<Capability>&) {
+                  auto mine = std::make_shared<int>(0);
+                  probe->frames.push_back(mine);
+                  ctx.SleepCycles(100'000);
+                  sync::Mutex mutex(ctx.globals());
+                  sync::LockGuard guard(ctx, mutex);
+                  return StatusCap(Status::kOk);
+                })
+        .Export("low",
+                [probe](CompartmentCtx& ctx, const std::vector<Capability>&) {
+                  auto mine = std::make_shared<int>(1);
+                  probe->frames.push_back(mine);
+                  sync::Mutex mutex(ctx.globals());
+                  sync::LockGuard guard(ctx, mutex);
+                  ctx.FutexWait(ctx.globals().AddOffset(8), 0, ~0u);
+                  return StatusCap(Status::kOk);
+                });
+    sync::UseLocks(b, "app");
+    sync::UseScheduler(b, "app");
+    b.Thread("high", 3, 4096, 8, "app.high");
+    b.Thread("low", 2, 4096, 8, "app.low");
+    return b.Build();
+  };
+  std::vector<uint8_t> root_blob;
+  Cycles root_cycle = 0;
+  {
+    Board root(build(), {});
+    root.EnableForensics();
+    root.Boot();
+    root.Snapshot(root_blob);
+    root_cycle = root.Now();
+  }
+  const snap::Container root = snap::Container::Parse(root_blob);
+  std::vector<uint8_t> fresh_bytes;
+  Board::Restore(root_blob, build())->Snapshot(fresh_bytes);
+  probe->frames.clear();
+
+  auto board = Board::Restore(root_blob, build());
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(board->StepTo(root_cycle + 1'000'000),
+              System::RunResult::kDeadlock);
+    ASSERT_EQ(probe->frames.size(), 2u);
+    for (const auto& frame : probe->frames) {
+      EXPECT_FALSE(frame.expired());
+    }
+    board->ResetTo(root, build());
+    for (const auto& frame : probe->frames) {
+      EXPECT_TRUE(frame.expired()) << "round " << round;
+    }
+    probe->frames.clear();
+    std::vector<uint8_t> reset_bytes;
+    board->Snapshot(reset_bytes);
+    EXPECT_TRUE(snap::DiffBlobs(fresh_bytes, reset_bytes).equal)
+        << snap::DiffBlobs(fresh_bytes, reset_bytes).summary;
+  }
+}
+
+TEST(McTest, InPlaceResetRefusesARootThatRanGuestCode) {
+  Board board(BuildImage("seeded-lost-wake"), {});
+  board.Boot();
+  board.StepTo(100'000);
+  std::vector<uint8_t> blob;
+  board.Snapshot(blob);
+  auto restored = Board::Restore(blob, BuildImage("seeded-lost-wake"));
+  EXPECT_THROW(restored->ResetTo(snap::Container::Parse(blob),
+                                 BuildImage("seeded-lost-wake")),
+               snap::SnapshotError);
 }
 
 // --- Snapshot diff names the first divergent section (satellite 3) --------
